@@ -55,11 +55,6 @@ class BinaryTensor:
     def words_per_pixel(self) -> int:
         return words_for_bits(self.c)
 
-    @property
-    def pixel_bits(self) -> int:
-        """Storage bits per pixel, including channel padding."""
-        return self.words_per_pixel * 32
-
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BinaryTensor":
         bits = np.asarray(bits)
@@ -88,9 +83,6 @@ class BinaryTensor:
 
     def to_pm1(self) -> np.ndarray:
         return self.to_bits().astype(np.int64) * 2 - 1
-
-    def pixel_words(self, i: int, j: int) -> np.ndarray:
-        return self.words[i, j]
 
     def flat_words(self) -> np.ndarray:
         """Row-major stream: pixel stride words_per_pixel, row stride w*that."""
@@ -179,9 +171,6 @@ class BinaryWeights:
 
     def to_pm1(self) -> np.ndarray:
         return self.to_bits().astype(np.int64) * 2 - 1
-
-    def tap_words(self, k: int, fi: int, fj: int) -> np.ndarray:
-        return self.words[k, fi, fj]
 
     def save(self, path) -> None:
         with open(path, "wb") as f:

@@ -50,43 +50,6 @@ def popcount_words(words: np.ndarray) -> int:
     return int(np.bitwise_count(np.asarray(words)).sum())
 
 
-def popcount_per_word(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(np.asarray(words))
-
-
-def bits_to_pm1(bits: np.ndarray) -> np.ndarray:
-    """Map stored bits to the values they encode: 1 -> +1, 0 -> -1."""
-    return np.asarray(bits).astype(np.int64) * 2 - 1
-
-
-def pm1_to_bits(vals: np.ndarray) -> np.ndarray:
-    """Map {-1,+1} values to stored bits. Zero is not a valid input."""
-    vals = np.asarray(vals)
-    if not np.all(np.abs(vals) == 1):
-        raise ShapeError("values must be -1 or +1")
-    return ((vals + 1) // 2).astype(np.uint8)
-
-
-def xnor_accumulate(x_words: np.ndarray, w_words: np.ndarray,
-                    mask_words: np.ndarray | None = None) -> int:
-    """Popcount of XNOR(x, w) restricted to *mask_words*.
-
-    This is the raw accumulator value the datapath produces for one
-    output: the number of bit positions (within the mask) where x and w
-    agree. Callers convert to the +/-1 sum via 2*pc - n.
-    """
-    x_words = np.asarray(x_words, dtype=WORD_DTYPE)
-    w_words = np.asarray(w_words, dtype=WORD_DTYPE)
-    if x_words.shape != w_words.shape:
-        raise ShapeError(
-            f"operand shapes differ: {x_words.shape} vs {w_words.shape}")
-    agree = ~(x_words ^ w_words)
-    if mask_words is None:
-        raise ShapeError("a mask is required; pad bits would count as matches")
-    agree &= np.asarray(mask_words, dtype=WORD_DTYPE)
-    return popcount_words(agree)
-
-
 def lane_mask(nbits: int, total_words: int) -> np.ndarray:
     """Words with the low *nbits* bits set, zero beyond."""
     if nbits > total_words * WORD_BITS:

@@ -7,7 +7,8 @@
     xnesim report mvgg-2
     xnesim verify --layers 100 --seed 1
 
-Exit codes: 0 ok, 2 usage, 3 parse/decode error, 4 does not fit,
+Exit codes: 0 ok, 2 usage, 3 parse/decode or other input error,
+4 does not fit (capacity, planning or memory-region error),
 5 verification mismatch.
 """
 
@@ -19,8 +20,7 @@ import sys
 import numpy as np
 
 from .engine import EngineConfig
-from .errors import (CapacityError, DecodeError, PlanError, ShapeError,
-                     UcodeSyntaxError)
+from .errors import CapacityError, PlanError, RegionError, XneError
 from .golden import LayerSpec, layer_golden, random_layer_data
 from .memory import CoefficientSet, coefficients_from_env, load_coefficients
 from .microcode import disassemble, parse_program, program_to_yaml
@@ -213,11 +213,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CapacityError, PlanError) as ex:
+    except (CapacityError, PlanError, RegionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (UcodeSyntaxError, DecodeError, ShapeError,
-            KeyError, ValueError, OSError) as ex:
+    except (XneError, KeyError, ValueError, OSError) as ex:
         # str(KeyError) wraps the message in quotes
         msg = ex.args[0] if isinstance(ex, KeyError) and ex.args else ex
         print(f"error: {msg}", file=sys.stderr)

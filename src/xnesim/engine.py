@@ -19,9 +19,7 @@ to the popcount domain.
 Two job register sets are double buffered; offloading a third while
 both are pending is an error. Cycle counts use fixed per-phase
 constants (stream setup, inter-phase gap, job overhead) calibrated so
-a TP=128, 128x128x3x3 layer sustains ~218 ops/cycle; the weight FIFO
-is deep enough (4 blocks) that weight streaming never stalls the lane
-pipeline at these constants.
+a TP=128, 128x128x3x3 layer sustains ~218 ops/cycle.
 """
 
 from __future__ import annotations
@@ -48,8 +46,6 @@ class EngineConfig:
     stream_setup: int = 2     # cycles to arm a streamer channel
     phase_gap: int = 8        # drain/settle cycles between phases
     job_overhead: int = 16    # offload + register copy per job
-    weight_fifo_depth: int = 4
-    stream_fifo_depth: int = 2
     saturate: bool = True
 
     def __post_init__(self):
@@ -59,37 +55,6 @@ class EngineConfig:
     @property
     def ports(self) -> int:
         return self.tp // 32
-
-
-class Fifo:
-    """Bounded FIFO; push on full or pop on empty is a modelling bug."""
-
-    def __init__(self, depth: int):
-        if depth < 1:
-            raise ShapeError("fifo depth must be >= 1")
-        self.depth = depth
-        self._q: deque = deque()
-
-    def __len__(self):
-        return len(self._q)
-
-    @property
-    def full(self) -> bool:
-        return len(self._q) >= self.depth
-
-    @property
-    def empty(self) -> bool:
-        return not self._q
-
-    def push(self, item) -> None:
-        if self.full:
-            raise BusyError("fifo overflow")
-        self._q.append(item)
-
-    def pop(self):
-        if self.empty:
-            raise BusyError("fifo underflow")
-        return self._q.popleft()
 
 
 def encode_threshold_byte(tau_q: int, lambda_positive: bool) -> int:
@@ -188,11 +153,6 @@ class JobResult:
     ops: int
     outputs_written: int
     schedule: PhaseSchedule
-    accumulate_cycles: int
-
-    @property
-    def ops_per_cycle(self) -> float:
-        return self.ops / self.cycles if self.cycles else 0.0
 
 
 class Engine:
@@ -204,8 +164,6 @@ class Engine:
         self.mem = mem
         self.program = program or reference_program()
         self._pending: deque[JobDescriptor] = deque()
-        self.on_job_end: list = []   # callbacks (job, result)
-        self.results: list[JobResult] = []
 
     @property
     def busy(self) -> bool:
@@ -223,18 +181,7 @@ class Engine:
     def run_next(self) -> JobResult | None:
         if not self._pending:
             return None
-        job = self._pending.popleft()
-        res = self._execute(job)
-        self.results.append(res)
-        for cb in self.on_job_end:
-            cb(job, res)
-        return res
-
-    def run_all(self) -> list[JobResult]:
-        out = []
-        while (r := self.run_next()) is not None:
-            out.append(r)
-        return out
+        return self._execute(self._pending.popleft())
 
     def _execute(self, job: JobDescriptor) -> JobResult:
         cfg = self.cfg
@@ -280,10 +227,11 @@ class Engine:
             step += 1
 
         sched = phase_schedule(g, job.valid_out, cfg)
-        assert sched.accumulate == acc_cycles
+        if sched.accumulate != acc_cycles:
+            raise PlanError(f"microcode walk took {acc_cycles} accumulate "
+                            f"cycles, the phase schedule {sched.accumulate}")
         return JobResult(cycles=sched.total, ops=ops,
-                         outputs_written=outputs, schedule=sched,
-                         accumulate_cycles=acc_cycles)
+                         outputs_written=outputs, schedule=sched)
 
     def _threshold_store(self, job: JobDescriptor, ko: int,
                          acc: np.ndarray, y_off: int) -> int:

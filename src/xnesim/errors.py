@@ -26,7 +26,7 @@ class BusyError(XneError):
 
 
 class RegionError(XneError):
-    """Access to a memory region that is powered off or out of range."""
+    """Access to an unmapped or misaligned memory address."""
 
 
 class CapacityError(XneError):

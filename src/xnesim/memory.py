@@ -1,11 +1,9 @@
-"""Memory map, streamer helpers and the energy/operating-point model.
+"""Memory map, stream realigner and the energy/operating-point model.
 
-The accelerator lives in a cluster with a small standard-cell memory
-(always on), a larger SRAM bank that can be power-gated, a core-coupled
-scratchpad, and an external serial HyperRAM behind a 1 Gbit/s link.
-The streamer issues word-aligned transactions, realigns byte-offset
-streams on the fly, and spreads words across interleaved banks with a
-round-robin arbiter.
+The accelerator lives in a cluster with a small standard-cell memory,
+a larger shared SRAM bank, a core-coupled scratchpad, and an external
+serial HyperRAM behind a 1 Gbit/s link. The streamer issues
+word-aligned transactions and realigns byte-offset streams on the fly.
 
 Energy is accounted per binary op (engine + local memory access) plus
 per-bit costs for marshalling parameters inside the cluster and for
@@ -14,13 +12,14 @@ fetching them over the HyperRAM link.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
-from .errors import RegionError, ShapeError
+from .errors import DecodeError, RegionError, ShapeError
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -31,7 +30,6 @@ class Region:
     name: str
     base: int
     size: int
-    powered: bool = True
 
     def contains(self, addr: int, nbytes: int = 1) -> bool:
         return self.base <= addr and addr + nbytes <= self.base + self.size
@@ -40,40 +38,29 @@ class Region:
 def default_memory_map() -> list[Region]:
     return [
         Region("l1", 0x1000_0000, 64 * KIB),        # core-coupled scratchpad
-        Region("scm", 0x2000_0000, 8 * KIB),        # always-on standard cells
-        Region("sram", 0x2010_0000, 448 * KIB),     # gateable shared bank
+        Region("scm", 0x2000_0000, 8 * KIB),        # standard-cell memory
+        Region("sram", 0x2010_0000, 448 * KIB),     # shared bank
         Region("hyperram", 0x8000_0000, 8 * MIB),   # external, serial link
     ]
 
 
 class Memory:
-    """Byte-addressable backing store across the mapped regions, with
-    per-region traffic counters. Access to a powered-off region or an
-    unmapped address raises RegionError."""
+    """Byte-addressable backing store across the regions of
+    default_memory_map(), with per-region traffic counters. Access to
+    an unmapped address raises RegionError."""
 
-    def __init__(self, regions: list[Region] | None = None,
-                 trace: bool = False):
-        self.regions = {r.name: r for r in (regions or default_memory_map())}
+    def __init__(self):
+        self.regions = {r.name: r for r in default_memory_map()}
         self._buf = {r.name: np.zeros(r.size, dtype=np.uint8)
                      for r in self.regions.values()}
         self.traffic = {r.name: {"read_bits": 0, "write_bits": 0}
                         for r in self.regions.values()}
-        self.trace: list[tuple[str, int, int]] | None = [] if trace else None
 
     def region_of(self, addr: int, nbytes: int = 1) -> Region:
         for r in self.regions.values():
             if r.contains(addr, nbytes):
-                if not r.powered:
-                    raise RegionError(f"{r.name} is powered off "
-                                      f"(access at {addr:#x})")
                 return r
         raise RegionError(f"no region holds [{addr:#x}, +{nbytes})")
-
-    def set_powered(self, name: str, powered: bool) -> None:
-        r = self.regions[name]
-        if not r.powered and powered:
-            self._buf[name][:] = 0  # contents lost while gated
-        r.powered = powered
 
     def base(self, name: str) -> int:
         return self.regions[name].base
@@ -82,8 +69,6 @@ class Memory:
         r = self.region_of(addr, nbytes)
         off = addr - r.base
         self.traffic[r.name]["read_bits"] += 8 * nbytes
-        if self.trace is not None:
-            self.trace.append(("R", addr, nbytes))
         return self._buf[r.name][off:off + nbytes].copy()
 
     def write(self, addr: int, data) -> None:
@@ -91,8 +76,6 @@ class Memory:
         r = self.region_of(addr, len(data))
         off = addr - r.base
         self.traffic[r.name]["write_bits"] += 8 * len(data)
-        if self.trace is not None:
-            self.trace.append(("W", addr, len(data)))
         self._buf[r.name][off:off + len(data)] = data
 
     def read_words(self, addr: int, nwords: int) -> np.ndarray:
@@ -105,41 +88,9 @@ class Memory:
             raise RegionError(f"word access at unaligned {addr:#x}")
         self.write(addr, np.ascontiguousarray(words, "<u4").view(np.uint8))
 
-    def write_words_masked(self, addr: int, words: np.ndarray,
-                           mask: np.ndarray) -> None:
-        """Read-modify-write: only mask bits change."""
-        words = np.ascontiguousarray(words, dtype=np.uint32)
-        mask = np.ascontiguousarray(mask, dtype=np.uint32)
-        old = self.read_words(addr, len(words))
-        new = (old & ~mask) | (words & mask)
-        self.write_words(addr, new)
-
-    def copy(self, dst: int, src: int, nbytes: int) -> None:
-        self.write(dst, self.read(src, nbytes))
-
 
 # ---------------------------------------------------------------------------
-# Streamer: address generation, realignment, bank arbitration
-
-
-def gen_addresses(addr: int, nbytes: int) -> list[tuple[int, int, int]]:
-    """Split a byte span into word transactions.
-
-    Returns (word_addr, first_byte, nbytes_in_word) triples; only the
-    first and last transaction may touch part of a word.
-    """
-    if nbytes < 0:
-        raise ShapeError("negative length")
-    out = []
-    end = addr + nbytes
-    cur = addr
-    while cur < end:
-        wa = cur & ~3
-        first = cur - wa
-        take = min(4 - first, end - cur)
-        out.append((wa, first, take))
-        cur += take
-    return out
+# Streamer realignment
 
 
 def realign(words: np.ndarray, byte_offset: int, nbytes: int) -> np.ndarray:
@@ -178,65 +129,6 @@ def realign(words: np.ndarray, byte_offset: int, nbytes: int) -> np.ndarray:
     return out
 
 
-def bank_of(addr: int, n_banks: int) -> int:
-    """Word-interleaved banking."""
-    return (addr >> 2) % n_banks
-
-
-class BankArbiter:
-    """Round-robin arbiter over word-interleaved banks.
-
-    Each cycle every port may request one bank; one request per bank is
-    granted, priority rotating per bank so no port starves.
-    """
-
-    def __init__(self, n_banks: int = 16, n_ports: int = 8):
-        if n_banks < 1 or n_ports < 1:
-            raise ShapeError("need at least one bank and one port")
-        self.n_banks = n_banks
-        self.n_ports = n_ports
-        self._rr = [0] * n_banks
-        self.requested = 0
-        self.granted = 0
-
-    def arbitrate(self, requests: dict[int, int]) -> set[int]:
-        """requests: port -> bank. Returns the granted ports."""
-        by_bank: dict[int, list[int]] = {}
-        for port, bank in requests.items():
-            if not 0 <= port < self.n_ports:
-                raise ShapeError(f"port {port} out of range")
-            if not 0 <= bank < self.n_banks:
-                raise ShapeError(f"bank {bank} out of range")
-            by_bank.setdefault(bank, []).append(port)
-        self.requested += len(requests)
-        winners = set()
-        for bank, ports in by_bank.items():
-            start = self._rr[bank]
-            win = min(ports, key=lambda p: (p - start) % self.n_ports)
-            winners.add(win)
-            self._rr[bank] = (win + 1) % self.n_ports
-        self.granted += len(winners)
-        return winners
-
-    @property
-    def grant_rate(self) -> float:
-        return self.granted / self.requested if self.requested else 1.0
-
-    def run_streams(self, streams: list[list[int]]) -> int:
-        """Drain per-port bank sequences; returns cycles taken."""
-        if len(streams) > self.n_ports:
-            raise ShapeError("more streams than ports")
-        pos = [0] * len(streams)
-        cycles = 0
-        while any(p < len(s) for p, s in zip(pos, streams)):
-            req = {i: s[p] for i, (p, s) in enumerate(zip(pos, streams))
-                   if p < len(s)}
-            for port in self.arbitrate(req):
-                pos[port] += 1
-            cycles += 1
-        return cycles
-
-
 # ---------------------------------------------------------------------------
 # Energy model and operating points
 
@@ -255,26 +147,20 @@ class ModeEnergy:
     local_fj_per_op: float
     freq_mhz: float
     weights_region: str        # scm | sram | sram_marshal | hyperram
-    sram_powered: bool
 
     @property
     def total_fj_per_op(self) -> float:
         return self.engine_fj_per_op + self.local_fj_per_op
 
-    @property
-    def local_over_engine(self) -> float:
-        return self.local_fj_per_op / self.engine_fj_per_op
-
 
 def _default_modes() -> dict[str, ModeEnergy]:
     return {
-        "scm-0v4": ModeEnergy("scm-0v4", 6.42, 15.18, 60.0, "scm", False),
-        "scm-0v5": ModeEnergy("scm-0v5", 11.94, 28.26, 127.0, "scm", False),
-        "sram-0v6": ModeEnergy("sram-0v6", 14.2, 100.8, 250.0, "sram", True),
+        "scm-0v4": ModeEnergy("scm-0v4", 6.42, 15.18, 60.0, "scm"),
+        "scm-0v5": ModeEnergy("scm-0v5", 11.94, 28.26, 127.0, "scm"),
+        "sram-0v6": ModeEnergy("sram-0v6", 14.2, 100.8, 250.0, "sram"),
         "marshal-0v6": ModeEnergy("marshal-0v6", 14.2, 37.8, 250.0,
-                                  "sram_marshal", True),
-        "hyperram": ModeEnergy("hyperram", 14.2, 100.8, 490.0,
-                               "hyperram", True),
+                                  "sram_marshal"),
+        "hyperram": ModeEnergy("hyperram", 14.2, 100.8, 490.0, "hyperram"),
     }
 
 
@@ -294,22 +180,47 @@ class CoefficientSet:
         return self.modes[name]
 
 
+_SCALAR_KEYS = ("marshal_pj_per_bit", "hyperram_pj_per_bit",
+                "hyperram_bits_per_s", "marshal_bits_per_cycle", "leakage_mw")
+_MODE_KEYS = tuple(f.name for f in dataclasses.fields(ModeEnergy)
+                   if f.name != "name")
+
+
+def _mapping(doc, what: str, allowed: tuple[str, ...] | None = None) -> dict:
+    """doc itself, if it is a mapping whose keys are all in allowed
+    (any key when allowed is None); DecodeError otherwise."""
+    if not isinstance(doc, dict):
+        raise DecodeError(f"{what} must be a mapping, "
+                          f"got {type(doc).__name__}")
+    for k in doc:
+        if allowed is not None and k not in allowed:
+            raise DecodeError(f"unknown key {k!r} in {what}; "
+                              f"expected one of {', '.join(allowed)}")
+    return doc
+
+
 def load_coefficients(path: str,
                       base: CoefficientSet | None = None) -> CoefficientSet:
-    """Override coefficients from a YAML file (partial updates allowed)."""
+    """Override coefficients from a YAML file (partial updates allowed).
+    Malformed YAML, a document that is not a mapping, or an unknown key
+    raises DecodeError."""
     cs = base or CoefficientSet()
     with open(path) as f:
-        doc = yaml.safe_load(f) or {}
-    for key in ("marshal_pj_per_bit", "hyperram_pj_per_bit",
-                "hyperram_bits_per_s", "marshal_bits_per_cycle",
-                "leakage_mw"):
+        try:
+            doc = yaml.safe_load(f) or {}
+        except yaml.YAMLError as ex:
+            raise DecodeError(f"{path}: not valid YAML: "
+                              f"{' '.join(str(ex).split())}") from None
+    _mapping(doc, str(path), _SCALAR_KEYS + ("modes",))
+    for key in _SCALAR_KEYS:
         if key in doc:
             setattr(cs, key, float(doc[key]))
-    for name, fields in (doc.get("modes") or {}).items():
-        cur = cs.modes.get(name) or ModeEnergy(name, 0, 0, 0, "sram", True)
-        kw = {k: (float(v) if k != "weights_region" and k != "sram_powered"
-                  else v)
-              for k, v in fields.items()}
+    modes = _mapping(doc.get("modes") or {}, f"{path} modes")
+    for name, given in modes.items():
+        _mapping(given, f"{path} mode {name!r}", _MODE_KEYS)
+        cur = cs.modes.get(name) or ModeEnergy(name, 0, 0, 0, "sram")
+        kw = {k: (v if k == "weights_region" else float(v))
+              for k, v in given.items()}
         cs.modes[name] = replace(cur, **kw)
     return cs
 

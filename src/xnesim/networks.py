@@ -21,7 +21,6 @@ channel tap plus one 8-bit threshold per channel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .bits import words_for_bits
@@ -59,10 +58,6 @@ class NetworkDescriptor:
     layers: list[NetLayer] = field(default_factory=list)
 
     @property
-    def total_macs(self) -> int:
-        return sum(l.spec.macs for l in self.layers)
-
-    @property
     def total_ops(self) -> int:
         return sum(l.spec.ops for l in self.layers)
 
@@ -86,38 +81,6 @@ class NetworkDescriptor:
                 handoff = l.output_buffer_bytes() + nxt.input_buffer_bytes()
                 peak = max(peak, handoff)
         return peak
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "input_shape": list(self.input_shape),
-            "layers": [{
-                "name": l.name,
-                "nif": l.spec.nif, "nof": l.spec.nof, "fs": l.spec.fs,
-                "h_out": l.spec.h_out, "w_out": l.spec.w_out,
-                "d": l.spec.d,
-                "pools": list(l.pools),
-                "im2col": l.im2col,
-            } for l in self.layers],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetworkDescriptor":
-        layers = [NetLayer(
-            name=row["name"],
-            spec=LayerSpec(row["nif"], row["nof"], row["fs"],
-                           row["h_out"], row["w_out"], row.get("d")),
-            pools=tuple(row.get("pools") or ()),
-            im2col=bool(row.get("im2col", False)),
-        ) for row in doc["layers"]]
-        return cls(doc["name"], tuple(doc["input_shape"]), layers)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkDescriptor":
-        return cls.from_dict(json.loads(text))
 
 
 def make_resnet(depth: int) -> NetworkDescriptor:

@@ -32,20 +32,21 @@ from .bits import lane_mask, words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
 from .errors import CapacityError, PlanError, ShapeError
-from .golden import LayerSpec, ThresholdSpec
+from .golden import (LayerSpec, ThresholdSpec, derive_thresholds,
+                     layer_golden, random_batchnorm, random_layer_data)
 from .memory import (KIB, CoefficientSet, EnergyBreakdown, Memory,
-                     account_energy, coefficients_from_env)
+                     account_energy, coefficients_from_env,
+                     default_memory_map)
 from .microcode import JobGeometry
 from .networks import NetLayer, NetworkDescriptor
 
-ONCHIP_SHARED_BYTES = (448 + 8) * KIB  # sram + scm, the activation budget
+REGION_BYTES = {r.name: r.size for r in default_memory_map()}
+ONCHIP_SHARED_BYTES = REGION_BYTES["sram"] + REGION_BYTES["scm"]  # activations
 
-REGION_PARAM_CAPACITY_BITS = {
-    "scm": 8 * KIB * 8,
-    "sram": 448 * KIB * 8,
-    "sram_marshal": 448 * KIB * 8,
-    "hyperram": 8 * 1024 * KIB * 8,
-}
+# where each ModeEnergy.weights_region keeps the parameters;
+# marshalled parameters are staged in sram
+PARAM_REGION = {"scm": "scm", "sram": "sram", "sram_marshal": "sram",
+                "hyperram": "hyperram"}
 
 
 @dataclass
@@ -61,17 +62,6 @@ class JobPlan:
     n_out: int
     x_bit_offset: int
     y_bit_offset: int
-
-    @property
-    def storage_bits(self) -> int:
-        g = self.geom
-        return g.kout_tiles * g.fs * g.fs * g.kin_tiles * g.tp * g.tp
-
-    @property
-    def fetch_bits(self) -> int:
-        """Stream bits actually read per pass: valid lanes only."""
-        g = self.geom
-        return int(self.valid_out.sum()) * g.fs * g.fs * g.kin_tiles * g.tp
 
     def masks(self) -> np.ndarray:
         g = self.geom
@@ -114,14 +104,6 @@ class LayerPlan:
     x_row_stride: int
     y_pixel_stride: int
     y_row_stride: int
-
-    @property
-    def storage_bits(self) -> int:
-        return sum(j.storage_bits for j in self.jobs)
-
-    @property
-    def fetch_bits(self) -> int:
-        return sum(j.fetch_bits for j in self.jobs)
 
     def schedules(self, cfg: EngineConfig) -> list[PhaseSchedule]:
         return [phase_schedule(j.geom, j.valid_out, cfg) for j in self.jobs]
@@ -250,7 +232,6 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
 
     x_base = mem.base("l1")
     x_words = x.flat_words()
-    mem.write_words(x_base, x_words)
     # masked tail reads may run past the image: worst case the whole
     # banded walk plus one vector beyond the final pixel
     slack = max(4 * cfg.tp,
@@ -263,6 +244,7 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
     y_end = y_base + 4 * y_words + slack
     if y_end - mem.base("l1") > mem.regions["l1"].size:
         raise CapacityError("activations exceed the core-coupled memory")
+    mem.write_words(x_base, x_words)
 
     cursor = mem.base("sram")
     sram_end = cursor + mem.regions["sram"].size
@@ -385,7 +367,7 @@ class NetworkReport:
 
 
 def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
-    cap = REGION_PARAM_CAPACITY_BITS[mode_region]
+    cap = 8 * REGION_BYTES[PARAM_REGION[mode_region]]
     bits = net.packed_param_bits
     if bits > cap:
         raise CapacityError(
@@ -437,16 +419,15 @@ def verify_layers(n_layers: int, seed: int, tp: int = 128,
                   cfg: EngineConfig | None = None) -> list[dict]:
     """Random engine-vs-reference sweeps; returns a record per layer
     with a `mismatches` count (0 everywhere when the engine is right)."""
-    from . import golden as G
     rng = np.random.default_rng(seed)
     cfg = cfg or EngineConfig(tp=tp)
     records = []
     for i in range(n_layers):
         spec = random_layer_spec(rng, max_spatial=max_spatial)
-        x, w = G.random_layer_data(rng, spec)
+        x, w = random_layer_data(rng, spec)
         thr = random_threshold_spec(rng, spec)
         run = execute_layer(cfg, spec, x, w, thr)
-        want = G.layer_golden(x, w, spec, thr)
+        want = layer_golden(x, w, spec, thr)
         mism = int(np.sum(run.output.to_bits() != want.to_bits()))
         records.append({"layer": i, "spec": spec, "mismatches": mism,
                         "ops": run.ops})
@@ -474,6 +455,5 @@ def random_threshold_spec(rng: np.random.Generator,
                           spec: LayerSpec) -> ThresholdSpec:
     """Thresholds folded from random batch-norm parameters, so they
     mostly land inside the reachable popcount range."""
-    from . import golden as G
-    bn = G.random_batchnorm(rng, spec.nof, spec.n_acc)
-    return G.derive_thresholds(bn, spec)
+    bn = random_batchnorm(rng, spec.nof, spec.n_acc)
+    return derive_thresholds(bn, spec)

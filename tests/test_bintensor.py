@@ -33,7 +33,6 @@ def test_tensor_layout_channel_fastest():
 def test_tensor_pixel_padding_is_zero():
     t = BinaryTensor.from_bits(np.ones((3, 1, 1), dtype=np.uint8))
     assert t.words[0, 0, 0] == 0b111
-    assert t.pixel_bits == 32
 
 
 def test_flat_words_strides():

@@ -34,37 +34,6 @@ def test_popcount_matches_python(vals):
     assert bits.popcount_words(words) == expect
 
 
-@given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=64))
-def test_pm1_mapping_roundtrip(vals):
-    arr = np.array(vals)
-    assert np.array_equal(bits.bits_to_pm1(bits.pm1_to_bits(arr)), arr)
-
-
-def test_pm1_rejects_zero():
-    with pytest.raises(ShapeError):
-        bits.pm1_to_bits(np.array([1, 0, -1]))
-
-
-@given(st.integers(1, 96), st.data())
-def test_xnor_accumulate_matches_pm1_dot(n, data):
-    # oracle: number of agreements == (dot + n) / 2 in the +/-1 domain
-    xb = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                  dtype=np.uint8)
-    wb = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                  dtype=np.uint8)
-    nw = bits.words_for_bits(n)
-    pc = bits.xnor_accumulate(bits.pack_bits(xb), bits.pack_bits(wb),
-                              bits.lane_mask(n, nw))
-    dot = int(np.dot(xb.astype(int) * 2 - 1, wb.astype(int) * 2 - 1))
-    assert pc == (dot + n) // 2
-
-
-def test_xnor_accumulate_requires_mask():
-    w = bits.pack_bits(np.zeros(32, dtype=np.uint8))
-    with pytest.raises(ShapeError):
-        bits.xnor_accumulate(w, w, None)
-
-
 def test_lane_mask_boundaries():
     m = bits.lane_mask(0, 2)
     assert m.tolist() == [0, 0]

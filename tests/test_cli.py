@@ -64,6 +64,13 @@ def test_run_net_capacity_exit(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_layer_too_big_for_l1(capsys):
+    assert main(["run", "layer", "--nif", "32", "--nof", "32",
+                 "--h", "200", "--w", "200"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_net_unknown_network(capsys):
     assert main(["run", "net", "lenet", "--mode", "scm-0v4"]) == 3
 

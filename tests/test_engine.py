@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from xnesim.bits import popcount_words
-from xnesim.engine import (ACC_MAX, Engine, EngineConfig, Fifo, JobDescriptor,
+from xnesim import engine
+from xnesim.engine import (ACC_MAX, Engine, EngineConfig, JobDescriptor,
                            decode_threshold_byte, encode_threshold_byte,
                            encode_thresholds, phase_schedule, run_single_job)
 from xnesim.errors import BusyError, PlanError, ShapeError
@@ -41,21 +42,7 @@ def test_encode_thresholds_vector():
             int(thr.tau_q[i]), bool(thr.lambda_positive[i]))
 
 
-# --- fifo ---------------------------------------------------------------
-
-def test_fifo_order_and_bounds():
-    f = Fifo(2)
-    assert f.empty and not f.full
-    f.push("a")
-    f.push("b")
-    assert f.full
-    with pytest.raises(BusyError):
-        f.push("c")
-    assert f.pop() == "a"
-    assert f.pop() == "b"
-    with pytest.raises(BusyError):
-        f.pop()
-
+# --- config -------------------------------------------------------------
 
 def test_engine_config_validation():
     with pytest.raises(ShapeError):
@@ -176,12 +163,23 @@ def test_double_buffer_and_busy():
     assert eng.busy
     with pytest.raises(BusyError):
         eng.submit(j)
-    seen = []
-    eng.on_job_end.append(lambda job, res: seen.append(res.cycles))
-    assert len(eng.run_all()) == 2
-    assert len(seen) == 2
-    assert len(eng.results) == 2
+    assert eng.run_next() is not None
+    assert not eng.busy
+    assert eng.run_next() is not None
     assert eng.run_next() is None
+
+
+def test_walk_schedule_disagreement_raises(monkeypatch):
+    # the walk-vs-schedule check must hold under python -O too
+    def off_by_one(geom, valid_out, cfg):
+        s = phase_schedule(geom, valid_out, cfg)
+        s.accumulate += 1
+        return s
+    mem = Memory()
+    job = _tiny_job(mem)
+    monkeypatch.setattr(engine, "phase_schedule", off_by_one)
+    with pytest.raises(PlanError, match="8 accumulate cycles.* 9"):
+        run_single_job(EngineConfig(tp=128), mem, job)
 
 
 def test_tp_mismatch_rejected():

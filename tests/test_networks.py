@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from xnesim.errors import ShapeError
-from xnesim.networks import (MVGG_CHANNELS, NetworkDescriptor, get_network,
-                             make_mvgg, make_resnet)
+from xnesim.networks import MVGG_CHANNELS, get_network, make_mvgg, make_resnet
 
 
 def test_resnet18_op_count():
@@ -88,19 +87,6 @@ def test_get_network_names():
         get_network("alexnet")
     with pytest.raises(ShapeError):
         get_network("mvgg-3")                 # groups must be a power of two
-
-
-def test_descriptor_json_roundtrip():
-    net = make_mvgg(2)
-    rt = NetworkDescriptor.from_json(net.to_json())
-    assert rt.name == net.name
-    assert rt.total_ops == net.total_ops
-    assert rt.packed_param_bits == net.packed_param_bits
-    assert len(rt.layers) == len(net.layers)
-    for a, b in zip(rt.layers, net.layers):
-        assert a.spec == b.spec
-        assert a.pools == b.pools
-        assert a.im2col == b.im2col
 
 
 def test_layer_buffer_accounting():
