@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from xnesim.engine import EngineConfig
+from xnesim.errors import XneError
 from xnesim.golden import LayerSpec, random_layer_data
 from xnesim.runner import execute_layer, random_threshold_spec
 
@@ -52,7 +53,7 @@ def main():
     for spec in grid:
         try:
             ops, cycles = measure(spec, args.tp, args.seed)
-        except Exception as ex:
+        except XneError as ex:
             print(f"{spec.nif}x{spec.nof} fs{spec.fs}: {ex}")
             continue
         name = f"{spec.nif}->{spec.nof} fs{spec.fs} {spec.h_out}x{spec.w_out}"

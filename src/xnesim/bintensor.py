@@ -12,6 +12,7 @@ u32 dimensions, then the raw little-endian word payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,6 +30,51 @@ def _check_dim(name, v):
         raise ShapeError(f"{name} must be a positive integer, got {v!r}")
 
 
+def _payload(words, shape: tuple) -> np.ndarray:
+    """Zero words of *shape*, or *words* checked to have it."""
+    if words is None:
+        return np.zeros(shape, dtype=WORD_DTYPE)
+    words = np.ascontiguousarray(words, dtype=WORD_DTYPE)
+    if words.shape != shape:
+        raise ShapeError(f"payload shape {words.shape} != {shape}")
+    return words
+
+
+def _pm1_to_bits(vals) -> np.ndarray:
+    vals = np.asarray(vals)
+    if not np.all(np.abs(vals) == 1):
+        raise ShapeError("values must be -1 or +1")
+    return (vals > 0).astype(np.uint8)
+
+
+def _write_container(path, magic: bytes, dims: tuple, words) -> None:
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<3I", *dims))
+        f.write(np.ascontiguousarray(words, dtype="<u4").tobytes())
+
+
+def _read_container(path, magic: bytes, payload_shape):
+    """(dims, words) of a container file; the words take the shape
+    payload_shape(*dims)."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:4] != magic:
+        raise DecodeError(f"bad magic {raw[:4]!r}, expected {magic!r}")
+    if len(raw) < 16:
+        raise DecodeError("truncated header")
+    dims = struct.unpack_from("<3I", raw, 4)
+    if min(dims) < 1:
+        raise DecodeError("zero dimension in header")
+    shape = payload_shape(*dims)
+    need = 16 + 4 * math.prod(shape)
+    if len(raw) != need:
+        raise DecodeError(f"payload is {len(raw) - 16} bytes, "
+                          f"expected {need - 16}")
+    words = np.frombuffer(raw, dtype="<u4", offset=16).astype(WORD_DTYPE)
+    return dims, words.reshape(shape)
+
+
 @dataclass
 class BinaryTensor:
     """A (c, h, w) tensor of single-bit values (bit 1 -> +1, 0 -> -1)."""
@@ -38,18 +84,15 @@ class BinaryTensor:
     w: int
     words: np.ndarray = field(default=None)  # (h, w, words_per_pixel)
 
+    @staticmethod
+    def _payload_shape(c: int, h: int, w: int) -> tuple:
+        return (h, w, words_for_bits(c))
+
     def __post_init__(self):
         for n, v in (("c", self.c), ("h", self.h), ("w", self.w)):
             _check_dim(n, v)
-        wpp = self.words_per_pixel
-        if self.words is None:
-            self.words = np.zeros((self.h, self.w, wpp), dtype=WORD_DTYPE)
-        else:
-            self.words = np.ascontiguousarray(self.words, dtype=WORD_DTYPE)
-            if self.words.shape != (self.h, self.w, wpp):
-                raise ShapeError(
-                    f"payload shape {self.words.shape} != "
-                    f"{(self.h, self.w, wpp)}")
+        self.words = _payload(self.words,
+                              self._payload_shape(self.c, self.h, self.w))
 
     @property
     def words_per_pixel(self) -> int:
@@ -60,26 +103,15 @@ class BinaryTensor:
         bits = np.asarray(bits)
         if bits.ndim != 3:
             raise ShapeError(f"expected (c, h, w) bits, got {bits.shape}")
-        c, h, w = bits.shape
-        t = cls(c, h, w)
-        for i in range(h):
-            for j in range(w):
-                t.words[i, j, :] = pack_bits(bits[:, i, j])
-        return t
+        return cls(*bits.shape, pack_bits(bits.transpose(1, 2, 0)))
 
     @classmethod
     def from_pm1(cls, vals: np.ndarray) -> "BinaryTensor":
-        vals = np.asarray(vals)
-        if not np.all(np.abs(vals) == 1):
-            raise ShapeError("values must be -1 or +1")
-        return cls.from_bits((vals > 0).astype(np.uint8))
+        return cls.from_bits(_pm1_to_bits(vals))
 
     def to_bits(self) -> np.ndarray:
-        out = np.zeros((self.c, self.h, self.w), dtype=np.uint8)
-        for i in range(self.h):
-            for j in range(self.w):
-                out[:, i, j] = unpack_bits(self.words[i, j], self.c)
-        return out
+        return np.ascontiguousarray(
+            unpack_bits(self.words, self.c).transpose(2, 0, 1))
 
     def to_pm1(self) -> np.ndarray:
         return self.to_bits().astype(np.int64) * 2 - 1
@@ -89,29 +121,13 @@ class BinaryTensor:
         return self.words.reshape(-1)
 
     def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(MAGIC_TENSOR)
-            f.write(struct.pack("<3I", self.c, self.h, self.w))
-            f.write(self.flat_words().astype("<u4").tobytes())
+        _write_container(path, MAGIC_TENSOR, (self.c, self.h, self.w),
+                         self.words)
 
     @classmethod
     def load(cls, path) -> "BinaryTensor":
-        with open(path, "rb") as f:
-            raw = f.read()
-        if raw[:4] != MAGIC_TENSOR:
-            raise DecodeError(f"bad magic {raw[:4]!r}, expected {MAGIC_TENSOR!r}")
-        if len(raw) < 16:
-            raise DecodeError("truncated header")
-        c, h, w = struct.unpack_from("<3I", raw, 4)
-        if c < 1 or h < 1 or w < 1:
-            raise DecodeError("zero dimension in header")
-        wpp = words_for_bits(c)
-        need = 16 + h * w * wpp * 4
-        if len(raw) != need:
-            raise DecodeError(f"payload is {len(raw) - 16} bytes, "
-                              f"expected {need - 16}")
-        words = np.frombuffer(raw, dtype="<u4", offset=16).astype(WORD_DTYPE)
-        return cls(c, h, w, words.reshape(h, w, wpp))
+        dims, words = _read_container(path, MAGIC_TENSOR, cls._payload_shape)
+        return cls(*dims, words)
 
 
 @dataclass
@@ -123,17 +139,15 @@ class BinaryWeights:
     fs: int
     words: np.ndarray = field(default=None)  # (nof, fs, fs, words_per_tap)
 
+    @staticmethod
+    def _payload_shape(nof: int, nif: int, fs: int) -> tuple:
+        return (nof, fs, fs, words_for_bits(nif))
+
     def __post_init__(self):
         for n, v in (("nof", self.nof), ("nif", self.nif), ("fs", self.fs)):
             _check_dim(n, v)
-        wpt = self.words_per_tap
-        shape = (self.nof, self.fs, self.fs, wpt)
-        if self.words is None:
-            self.words = np.zeros(shape, dtype=WORD_DTYPE)
-        else:
-            self.words = np.ascontiguousarray(self.words, dtype=WORD_DTYPE)
-            if self.words.shape != shape:
-                raise ShapeError(f"payload shape {self.words.shape} != {shape}")
+        self.words = _payload(self.words,
+                              self._payload_shape(self.nof, self.nif, self.fs))
 
     @property
     def words_per_tap(self) -> int:
@@ -145,54 +159,24 @@ class BinaryWeights:
         if bits.ndim != 4 or bits.shape[2] != bits.shape[3]:
             raise ShapeError(
                 f"expected (nof, nif, fs, fs) bits, got {bits.shape}")
-        nof, nif, fs, _ = bits.shape
-        wt = cls(nof, nif, fs)
-        for k in range(nof):
-            for fi in range(fs):
-                for fj in range(fs):
-                    wt.words[k, fi, fj, :] = pack_bits(bits[k, :, fi, fj])
-        return wt
+        return cls(*bits.shape[:3], pack_bits(bits.transpose(0, 2, 3, 1)))
 
     @classmethod
     def from_pm1(cls, vals: np.ndarray) -> "BinaryWeights":
-        vals = np.asarray(vals)
-        if not np.all(np.abs(vals) == 1):
-            raise ShapeError("values must be -1 or +1")
-        return cls.from_bits((vals > 0).astype(np.uint8))
+        return cls.from_bits(_pm1_to_bits(vals))
 
     def to_bits(self) -> np.ndarray:
-        out = np.zeros((self.nof, self.nif, self.fs, self.fs), dtype=np.uint8)
-        for k in range(self.nof):
-            for fi in range(self.fs):
-                for fj in range(self.fs):
-                    out[k, :, fi, fj] = unpack_bits(
-                        self.words[k, fi, fj], self.nif)
-        return out
+        return np.ascontiguousarray(
+            unpack_bits(self.words, self.nif).transpose(0, 3, 1, 2))
 
     def to_pm1(self) -> np.ndarray:
         return self.to_bits().astype(np.int64) * 2 - 1
 
     def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(MAGIC_WEIGHTS)
-            f.write(struct.pack("<3I", self.nof, self.nif, self.fs))
-            f.write(self.words.reshape(-1).astype("<u4").tobytes())
+        _write_container(path, MAGIC_WEIGHTS, (self.nof, self.nif, self.fs),
+                         self.words)
 
     @classmethod
     def load(cls, path) -> "BinaryWeights":
-        with open(path, "rb") as f:
-            raw = f.read()
-        if raw[:4] != MAGIC_WEIGHTS:
-            raise DecodeError(f"bad magic {raw[:4]!r}, expected {MAGIC_WEIGHTS!r}")
-        if len(raw) < 16:
-            raise DecodeError("truncated header")
-        nof, nif, fs = struct.unpack_from("<3I", raw, 4)
-        if nof < 1 or nif < 1 or fs < 1:
-            raise DecodeError("zero dimension in header")
-        wpt = words_for_bits(nif)
-        need = 16 + nof * fs * fs * wpt * 4
-        if len(raw) != need:
-            raise DecodeError(f"payload is {len(raw) - 16} bytes, "
-                              f"expected {need - 16}")
-        words = np.frombuffer(raw, dtype="<u4", offset=16).astype(WORD_DTYPE)
-        return cls(nof, nif, fs, words.reshape(nof, fs, fs, wpt))
+        dims, words = _read_container(path, MAGIC_WEIGHTS, cls._payload_shape)
+        return cls(*dims, words)

@@ -141,9 +141,10 @@ def cmd_verify(args) -> int:
     print(f"{len(recs)} layers, {total_ops} ops, "
           f"{len(bad)} with mismatches")
     for r in bad:
-        s = r["spec"]
-        print(f"  layer {r['layer']}: {s.nif}->{s.nof} fs={s.fs} "
-              f"groups={s.groups}: {r['mismatches']} wrong bits")
+        print(f"  layer {r['layer']}: {r['spec']}: "
+              f"{r['mismatches']} wrong bits")
+        print(f"    replay: xnesim verify --layers {r['layer'] + 1} "
+              f"--seed {args.seed} --tp {args.tp}")
     return 0 if not bad else EXIT_VERIFY
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import popcount_words
+from .bits import pack_bits
 from .errors import BusyError, PlanError, ShapeError
 from .golden import ThresholdSpec
 from .memory import Memory
@@ -191,10 +191,7 @@ class Engine:
         state = UcodeState(self.program, ucode_registers(g))
         n_inner = g.fs * g.fs * g.kin_tiles
 
-        mask_bits = np.array(
-            [[popcount_words(job.masks[ko, ki])
-              for ki in range(g.kin_tiles)] for ko in range(g.kout_tiles)],
-            dtype=np.int64)
+        mask_bits = np.bitwise_count(job.masks).sum(axis=(2, 3))
 
         acc = np.zeros(tp, dtype=np.int64)
         ops = 0
@@ -244,9 +241,9 @@ class Engine:
         bits = np.where(lam_pos, acc >= eff, acc <= eff).astype(np.uint8)
         v = int(job.valid_out[ko])
         bits[v:] = 0  # invalid remainder lanes emit zero
-        payload = np.packbits(bits, bitorder="little")
         nbytes = (v + 7) // 8  # sink drops bytes past the valid lanes
-        self.mem.write(job.y_base + y_off // 8, payload[:nbytes])
+        payload = pack_bits(bits).view(np.uint8)[:nbytes]
+        self.mem.write(job.y_base + y_off // 8, payload)
         return v
 
 

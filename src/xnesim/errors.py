@@ -18,7 +18,8 @@ class UcodeSyntaxError(XneError):
 
 
 class DecodeError(XneError):
-    """A binary container (tensor file, bitstream) is malformed."""
+    """An input (tensor file, bitstream, coefficient YAML) is malformed
+    or holds a value out of range."""
 
 
 class BusyError(XneError):

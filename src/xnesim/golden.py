@@ -215,7 +215,8 @@ def derive_thresholds(bn: BatchNormParams, spec: LayerSpec,
     return quantize_thresholds(tau_pc, lam_pos, shift)
 
 
-def _check_layer_inputs(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):
+def check_layer_inputs(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):
+    """ShapeError unless x and w have the shapes the layer needs."""
     if x.c != spec.nif or x.h != spec.h_in or x.w != spec.w_in:
         raise ShapeError(f"input is {(x.c, x.h, x.w)}, layer needs "
                          f"{(spec.nif, spec.h_in, spec.w_in)}")
@@ -230,7 +231,7 @@ def conv_popcounts(x: BinaryTensor, w: BinaryWeights,
 
     Weights hold only the d_eff channels of each output's band.
     """
-    _check_layer_inputs(x, w, spec)
+    check_layer_inputs(x, w, spec)
     xb = x.to_pm1().astype(np.int32)      # (nif, h_in, w_in)
     wb = w.to_pm1().astype(np.int32)      # (nof, d_eff, fs, fs)
     nof, fs = spec.nof, spec.fs

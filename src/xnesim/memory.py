@@ -133,40 +133,68 @@ def realign(words: np.ndarray, byte_offset: int, nbytes: int) -> np.ndarray:
 # Energy model and operating points
 
 
+def _check_range(what: str, value: float, positive: bool) -> None:
+    """DecodeError naming *what* unless value > 0 (positive) or >= 0."""
+    if not (value > 0 if positive else value >= 0):
+        raise DecodeError(f"{what} must be "
+                          f"{'positive' if positive else 'non-negative'}, "
+                          f"got {value}")
+
+
+# where each ModeEnergy.weights_region keeps the parameters;
+# marshalled parameters are staged in sram
+PARAM_REGION = {"scm": "scm", "sram": "sram", "sram_marshal": "sram",
+                "hyperram": "hyperram"}
+
+
 @dataclass(frozen=True)
 class ModeEnergy:
     """One voltage/placement operating point.
 
     Per-op energy splits into the engine datapath and the local memory
     traffic bundled with each op; parameters additionally pay per-bit
-    costs depending on where they live (see CoefficientSet).
+    costs depending on where they live (see CoefficientSet). A
+    non-positive clock, a negative energy or a placement outside
+    PARAM_REGION raises DecodeError.
     """
 
     name: str
     engine_fj_per_op: float
     local_fj_per_op: float
     freq_mhz: float
-    weights_region: str        # scm | sram | sram_marshal | hyperram
+    weights_region: str        # a key of PARAM_REGION
+
+    def __post_init__(self):
+        for k in ("engine_fj_per_op", "local_fj_per_op", "freq_mhz"):
+            _check_range(f"mode {self.name!r} {k}", getattr(self, k),
+                         positive=k == "freq_mhz")
+        if not (isinstance(self.weights_region, str)
+                and self.weights_region in PARAM_REGION):
+            raise DecodeError(
+                f"mode {self.name!r} weights_region "
+                f"{self.weights_region!r} is not one of "
+                f"{', '.join(PARAM_REGION)}")
 
     @property
     def total_fj_per_op(self) -> float:
         return self.engine_fj_per_op + self.local_fj_per_op
 
 
-def _default_modes() -> dict[str, ModeEnergy]:
-    return {
-        "scm-0v4": ModeEnergy("scm-0v4", 6.42, 15.18, 60.0, "scm"),
-        "scm-0v5": ModeEnergy("scm-0v5", 11.94, 28.26, 127.0, "scm"),
-        "sram-0v6": ModeEnergy("sram-0v6", 14.2, 100.8, 250.0, "sram"),
-        "marshal-0v6": ModeEnergy("marshal-0v6", 14.2, 37.8, 250.0,
-                                  "sram_marshal"),
-        "hyperram": ModeEnergy("hyperram", 14.2, 100.8, 490.0, "hyperram"),
-    }
+# built once: ModeEnergy is frozen, so every CoefficientSet may share them
+_DEFAULT_MODES = {
+    "scm-0v4": ModeEnergy("scm-0v4", 6.42, 15.18, 60.0, "scm"),
+    "scm-0v5": ModeEnergy("scm-0v5", 11.94, 28.26, 127.0, "scm"),
+    "sram-0v6": ModeEnergy("sram-0v6", 14.2, 100.8, 250.0, "sram"),
+    "marshal-0v6": ModeEnergy("marshal-0v6", 14.2, 37.8, 250.0,
+                              "sram_marshal"),
+    "hyperram": ModeEnergy("hyperram", 14.2, 100.8, 490.0, "hyperram"),
+}
 
 
 @dataclass
 class CoefficientSet:
-    modes: dict[str, ModeEnergy] = field(default_factory=_default_modes)
+    modes: dict[str, ModeEnergy] = field(
+        default_factory=_DEFAULT_MODES.copy)
     marshal_pj_per_bit: float = 8.7     # uDMA repacking inside the cluster
     hyperram_pj_per_bit: float = 28.6   # serial link transfer
     hyperram_bits_per_s: float = 1e9
@@ -182,6 +210,7 @@ class CoefficientSet:
 
 _SCALAR_KEYS = ("marshal_pj_per_bit", "hyperram_pj_per_bit",
                 "hyperram_bits_per_s", "marshal_bits_per_cycle", "leakage_mw")
+_RATE_KEYS = ("hyperram_bits_per_s", "marshal_bits_per_cycle")
 _MODE_KEYS = tuple(f.name for f in dataclasses.fields(ModeEnergy)
                    if f.name != "name")
 
@@ -199,11 +228,22 @@ def _mapping(doc, what: str, allowed: tuple[str, ...] | None = None) -> dict:
     return doc
 
 
+def _number(value, what: str) -> float:
+    """value as a float; DecodeError naming *what* if it is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DecodeError(f"{what} must be a number, got {value!r}")
+
+
 def load_coefficients(path: str,
                       base: CoefficientSet | None = None) -> CoefficientSet:
-    """Override coefficients from a YAML file (partial updates allowed).
-    Malformed YAML, a document that is not a mapping, or an unknown key
-    raises DecodeError."""
+    """Override coefficients from a YAML file (partial updates allowed;
+    a new mode gives every field). Malformed YAML, a document that is
+    not a mapping, an unknown or missing key, or a value that is not a
+    number or out of range raises DecodeError."""
     cs = base or CoefficientSet()
     with open(path) as f:
         try:
@@ -212,16 +252,23 @@ def load_coefficients(path: str,
             raise DecodeError(f"{path}: not valid YAML: "
                               f"{' '.join(str(ex).split())}") from None
     _mapping(doc, str(path), _SCALAR_KEYS + ("modes",))
-    for key in _SCALAR_KEYS:
-        if key in doc:
-            setattr(cs, key, float(doc[key]))
+    scalars = {k: _number(doc[k], f"{path}: {k}")
+               for k in _SCALAR_KEYS if k in doc}
+    for k, v in scalars.items():
+        _check_range(f"{path}: {k}", v, positive=k in _RATE_KEYS)
+    cs = replace(cs, modes=dict(cs.modes), **scalars)
     modes = _mapping(doc.get("modes") or {}, f"{path} modes")
     for name, given in modes.items():
-        _mapping(given, f"{path} mode {name!r}", _MODE_KEYS)
-        cur = cs.modes.get(name) or ModeEnergy(name, 0, 0, 0, "sram")
-        kw = {k: (v if k == "weights_region" else float(v))
+        what = f"{path} mode {name!r}"
+        _mapping(given, what, _MODE_KEYS)
+        missing = [k for k in _MODE_KEYS if k not in given]
+        if name not in cs.modes and missing:
+            raise DecodeError(f"{what} is new and must give "
+                              f"{', '.join(missing)}")
+        kw = {k: (v if k == "weights_region" else _number(v, f"{what} {k}"))
               for k, v in given.items()}
-        cs.modes[name] = replace(cur, **kw)
+        cs.modes[name] = (replace(cs.modes[name], **kw) if name in cs.modes
+                          else ModeEnergy(name, **kw))
     return cs
 
 

@@ -28,25 +28,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bintensor import BinaryTensor, BinaryWeights
-from .bits import lane_mask, words_for_bits
+from .bits import pack_bits, words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
 from .errors import CapacityError, PlanError, ShapeError
-from .golden import (LayerSpec, ThresholdSpec, derive_thresholds,
-                     layer_golden, random_batchnorm, random_layer_data)
-from .memory import (KIB, CoefficientSet, EnergyBreakdown, Memory,
-                     account_energy, coefficients_from_env,
+from .golden import (LayerSpec, ThresholdSpec, check_layer_inputs,
+                     derive_thresholds, layer_golden, random_batchnorm,
+                     random_layer_data)
+from .memory import (KIB, PARAM_REGION, CoefficientSet, EnergyBreakdown,
+                     Memory, account_energy, coefficients_from_env,
                      default_memory_map)
 from .microcode import JobGeometry
 from .networks import NetLayer, NetworkDescriptor
 
 REGION_BYTES = {r.name: r.size for r in default_memory_map()}
 ONCHIP_SHARED_BYTES = REGION_BYTES["sram"] + REGION_BYTES["scm"]  # activations
-
-# where each ModeEnergy.weights_region keeps the parameters;
-# marshalled parameters are staged in sram
-PARAM_REGION = {"scm": "scm", "sram": "sram", "sram_marshal": "sram",
-                "hyperram": "hyperram"}
 
 
 @dataclass
@@ -63,36 +59,23 @@ class JobPlan:
     x_bit_offset: int
     y_bit_offset: int
 
-    def masks(self) -> np.ndarray:
+    def support(self) -> np.ndarray:
+        """Connectivity, (kout_tiles, kin_tiles, tp, tp) bool: bit b of
+        lane L in tile (ko, ki) is set iff the lane is valid and walked
+        span position ki*tp + b lies in the lane's band, which starts at
+        (L // npg) * d_eff and is d_eff wide. Full connectivity is
+        npg = tp: one band covering the whole input."""
         g = self.geom
-        wpv = g.tp // 32
-        base = np.zeros((g.kin_tiles, g.tp, wpv), dtype=np.uint32)
-        for ki in range(g.kin_tiles):
-            lo = ki * g.tp
-            for q, a, b in _band_chunks(g.tp, self.d_eff, self.npg, lo):
-                m = lane_mask(b - lo, wpv) & ~lane_mask(a - lo, wpv)
-                base[ki, q * self.npg:(q + 1) * self.npg] = m
-        out = np.broadcast_to(base, (g.kout_tiles,) + base.shape).copy()
-        for ko in range(g.kout_tiles):
-            out[ko, :, int(self.valid_out[ko]):, :] = 0
-        return out
+        idx = np.arange(g.tp)
+        # start of each lane's band inside each input tile's window
+        lo = ((idx // self.npg) * self.d_eff
+              - g.tp * np.arange(g.kin_tiles)[:, None])[..., None]
+        band = (lo <= idx) & (idx < lo + self.d_eff)     # (ki, lane, bit)
+        valid = idx < self.valid_out[:, None]           # (ko, lane)
+        return band[None] & valid[:, None, :, None]
 
-
-def _band_chunks(tp: int, d_eff: int, npg: int, lo: int):
-    """Bands overlapping the vector window [lo, lo+tp).
-
-    Lane L belongs to band q = L // npg, whose bits sit at
-    [q * d_eff, q * d_eff + d_eff) along the walked span. Yields
-    (q, a, b) for every band whose intersection [a, b) with the
-    window is non-empty. Full connectivity is npg = tp: one band
-    covering the whole input.
-    """
-    hi = lo + tp
-    for q in range(tp // npg):
-        a = max(q * d_eff, lo)
-        b = min(q * d_eff + d_eff, hi)
-        if b > a:
-            yield q, a, b
+    def masks(self) -> np.ndarray:
+        return pack_bits(self.support())
 
 
 @dataclass
@@ -169,27 +152,23 @@ def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
 def weight_stream_words(job: JobPlan, spec: LayerSpec,
                         w: BinaryWeights) -> np.ndarray:
     """Engine-ready stream: blocks of TP lane vectors in
-    (k_out tile, fi, fj, k_in tile) order."""
+    (k_out tile, fi, fj, k_in tile) order. Bit b of lane L in block
+    (ko, fi, fj, ki) is the weight of channel ch_base + ko*tp + L at
+    band position ki*tp + b - (L // npg) * d_eff, zero outside
+    job.support()."""
     g = job.geom
-    tp = g.tp
-    wb = w.to_bits().transpose(0, 2, 3, 1)  # (nof, fs, fs, d_eff)
-    bits = np.zeros((g.kout_tiles, g.fs, g.fs, g.kin_tiles, tp, tp),
-                    dtype=np.uint8)
-    for ko in range(g.kout_tiles):
-        v = int(job.valid_out[ko])
-        for ki in range(g.kin_tiles):
-            lo = ki * tp
-            for q, a, b in _band_chunks(tp, job.d_eff, job.npg, lo):
-                l0, l1 = q * job.npg, min((q + 1) * job.npg, v)
-                if l1 <= l0:
-                    continue
-                k0 = job.ch_base + ko * tp + l0
-                src = slice(a - q * job.d_eff, b - q * job.d_eff)
-                dst = slice(a - lo, b - lo)
-                bits[ko, :, :, ki, l0:l1, dst] = \
-                    wb[k0:k0 + (l1 - l0), :, :, src].transpose(1, 2, 0, 3)
-    packed = np.packbits(bits.reshape(-1, tp), axis=1, bitorder="little")
-    return np.ascontiguousarray(packed).view("<u4").astype(np.uint32).reshape(-1)
+    wt = w.to_bits().transpose(2, 3, 0, 1)          # (fs, fs, nof, d_eff)
+    sup = job.support()
+    lane = np.arange(g.tp)[:, None]
+    out = np.empty((g.kout_tiles, g.fs, g.fs, g.kin_tiles, g.tp, g.tp // 32),
+                   dtype=np.uint32)
+    for ki in range(g.kin_tiles):
+        pos = ki * g.tp + lane.T - (lane // job.npg) * job.d_eff
+        pos = np.clip(pos, 0, job.d_eff - 1)
+        for ko in range(g.kout_tiles):
+            ch = np.minimum(job.ch_base + ko * g.tp + lane, w.nof - 1)
+            out[ko, :, :, ki] = pack_bits(wt[:, :, ch, pos] & sup[ko, ki])
+    return out.reshape(-1)
 
 
 def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
@@ -222,9 +201,7 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
                   w: BinaryWeights, thr: ThresholdSpec,
                   mem: Memory | None = None) -> LayerRun:
     """Build memory images, run every job, decode the output tensor."""
-    if x.c != spec.nif or x.h != spec.h_in or x.w != spec.w_in:
-        raise ShapeError(f"input is {(x.c, x.h, x.w)}, layer needs "
-                         f"{(spec.nif, spec.h_in, spec.w_in)}")
+    check_layer_inputs(x, w, spec)
     if thr.nof != spec.nof:
         raise ShapeError("threshold channel count mismatch")
     plan = plan_layer(spec, cfg.tp)

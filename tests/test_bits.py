@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xnesim import bits
 from xnesim.errors import ShapeError
@@ -27,19 +27,22 @@ def test_pack_pad_bits_are_zero():
     assert words[1] == 1  # bits 33..63 stay zero
 
 
-@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=50))
-def test_popcount_matches_python(vals):
-    words = np.array(vals, dtype=np.uint32)
-    expect = sum(int(v).bit_count() for v in vals)
-    assert bits.popcount_words(words) == expect
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 70),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_pack_unpack_last_axis_equals_per_vector(a, b, n, rnd):
+    arr = np.array([[[rnd.randint(0, 1) for _ in range(n)]
+                     for _ in range(b)] for _ in range(a)], dtype=np.uint8)
+    words = bits.pack_bits(arr)
+    assert words.shape == (a, b, bits.words_for_bits(n))
+    for i in range(a):
+        for j in range(b):
+            assert np.array_equal(words[i, j], bits.pack_bits(arr[i, j]))
+    assert np.array_equal(bits.unpack_bits(words, n), arr)
 
 
-def test_lane_mask_boundaries():
-    m = bits.lane_mask(0, 2)
-    assert m.tolist() == [0, 0]
-    m = bits.lane_mask(32, 2)
-    assert m.tolist() == [0xFFFFFFFF, 0]
-    m = bits.lane_mask(33, 2)
-    assert m.tolist() == [0xFFFFFFFF, 1]
+def test_unpack_rejects_more_bits_than_stored():
+    words = np.zeros((3, 2), dtype=np.uint32)
+    assert bits.unpack_bits(words, 64).shape == (3, 64)
     with pytest.raises(ShapeError):
-        bits.lane_mask(65, 2)
+        bits.unpack_bits(words, 65)

@@ -1,5 +1,7 @@
 import pytest
 
+from xnesim import runner
+from xnesim.bintensor import BinaryTensor
 from xnesim.cli import main
 from xnesim.microcode import reference_program
 
@@ -92,6 +94,19 @@ def test_verify_cli(capsys):
     assert "0 with mismatches" in capsys.readouterr().out
 
 
+def test_verify_failure_prints_replay(monkeypatch, capsys):
+    real = runner.layer_golden
+
+    def inverted(x, w, spec, thr):
+        return BinaryTensor.from_bits(1 - real(x, w, spec, thr).to_bits())
+    monkeypatch.setattr(runner, "layer_golden", inverted)
+    assert main(["verify", "--layers", "3", "--seed", "8", "--tp", "64"]) == 5
+    out = capsys.readouterr().out
+    assert "3 with mismatches" in out
+    assert "layer 2: LayerSpec(nif=" in out and "h_out=" in out
+    assert "replay: xnesim verify --layers 3 --seed 8 --tp 64" in out
+
+
 def test_config_override(tmp_path, capsys):
     cfgf = tmp_path / "c.yaml"
     cfgf.write_text("hyperram_pj_per_bit: 100.0\n")
@@ -107,3 +122,12 @@ def test_config_override(tmp_path, capsys):
     tot_a = sum(float(l.split(",")[9]) for l in a.splitlines()[1:])
     tot_b = sum(float(l.split(",")[9]) for l in b.splitlines()[1:])
     assert tot_b == pytest.approx(tot_a * 100.0 / 28.6, rel=1e-6)
+
+
+def test_config_null_value_is_an_error(tmp_path, capsys):
+    cfgf = tmp_path / "c.yaml"
+    cfgf.write_text("leakage_mw:\n")
+    assert main(["run", "net", "mvgg-f", "--config", str(cfgf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "leakage_mw" in err

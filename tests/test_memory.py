@@ -117,7 +117,17 @@ def test_load_coefficients_partial_override(tmp_path):
     ("- 1.0\n- 2.0\n", "must be a mapping"),
     ("hyperram_pj_per_bt: 31.0\n", "'hyperram_pj_per_bt'"),
     ("modes:\n  scm-0v4: {freq_ghz: 0.06}\n", "'freq_ghz'"),
-], ids=["not-a-mapping", "unknown-key", "unknown-mode-field"])
+    ("leakage_mw:\n", "leakage_mw must be a number, got None"),
+    ("marshal_pj_per_bit: abc\n", "marshal_pj_per_bit must be a number"),
+    ("modes:\n  new-0v7: {engine_fj_per_op: 10.0, local_fj_per_op: 20.0}\n",
+     "'new-0v7' is new and must give freq_mhz, weights_region"),
+    ("modes:\n  scm-0v4: {weights_region: dram}\n",
+     "weights_region 'dram' is not one of"),
+    ("modes:\n  scm-0v4: {freq_mhz: -5}\n", "freq_mhz must be positive"),
+    ("hyperram_bits_per_s: 0\n", "hyperram_bits_per_s must be positive"),
+], ids=["not-a-mapping", "unknown-key", "unknown-mode-field", "null-value",
+        "not-a-number", "new-mode-partial", "unknown-region",
+        "negative-freq", "zero-rate"])
 def test_load_coefficients_rejects_bad_yaml(tmp_path, text, problem):
     p = tmp_path / "c.yaml"
     p.write_text(text)

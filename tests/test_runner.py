@@ -163,6 +163,11 @@ def test_execute_layer_shape_checks():
         rng.integers(0, 2, (32, 2, 2), dtype=np.uint8))
     with pytest.raises(ShapeError):
         execute_layer(CFG, spec, bad_x, w, thr)
+    for nif, fs in ((40, 3), (16, 3), (32, 1)):
+        bad_w = BinaryWeights.from_bits(
+            rng.integers(0, 2, (8, nif, fs, fs), dtype=np.uint8))
+        with pytest.raises(ShapeError, match="weights are"):
+            execute_layer(CFG, spec, x, bad_w, thr)
 
 
 def test_execute_layer_l1_capacity():
