@@ -31,21 +31,21 @@ import numpy as np
 
 from .bits import pack_bits
 from .errors import BusyError, PlanError, ShapeError
-from .golden import ThresholdSpec
+from .golden import SHIFT_MAX, ThresholdSpec
 from .memory import Memory
-from .microcode import (JobGeometry, MicrocodeProgram, UcodeState,
-                        reference_program, ucode_registers)
+from .microcode import (JobGeometry, UcodeState, reference_program,
+                        ucode_registers)
 
 ACC_MAX = 0xFFFF
 VALID_TPS = (32, 64, 128, 256, 512)
+STREAM_SETUP = 2    # cycles to arm a streamer channel
+PHASE_GAP = 8       # drain/settle cycles between phases
+JOB_OVERHEAD = 16   # offload + register copy per job
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     tp: int = 128
-    stream_setup: int = 2     # cycles to arm a streamer channel
-    phase_gap: int = 8        # drain/settle cycles between phases
-    job_overhead: int = 16    # offload + register copy per job
     saturate: bool = True
 
     def __post_init__(self):
@@ -57,24 +57,17 @@ class EngineConfig:
         return self.tp // 32
 
 
-def encode_threshold_byte(tau_q: int, lambda_positive: bool) -> int:
-    if not -64 <= tau_q <= 63:
-        raise ShapeError(f"tau_q {tau_q} outside 7 signed bits")
-    return (tau_q & 0x7F) | (0 if lambda_positive else 0x80)
-
-
-def decode_threshold_byte(b: int) -> tuple[int, bool]:
-    t = b & 0x7F
-    if t >= 64:
-        t -= 128
-    return t, (b & 0x80) == 0
-
-
 def encode_thresholds(thr: ThresholdSpec) -> np.ndarray:
     """One byte per output channel, in channel order."""
-    return np.array([encode_threshold_byte(int(t), bool(p))
-                     for t, p in zip(thr.tau_q, thr.lambda_positive)],
-                    dtype=np.uint8)
+    return ((thr.tau_q & 0x7F)
+            | np.where(thr.lambda_positive, 0, 0x80)).astype(np.uint8)
+
+
+def decode_thresholds(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tau_q, lambda_positive) of threshold bytes: tau_q is bits 6..0
+    sign-extended to int64, lambda_positive is bit 7 clear."""
+    b = np.asarray(b, dtype=np.uint8)
+    return ((b & 0x7F) ^ 0x40).astype(np.int64) - 0x40, (b & 0x80) == 0
 
 
 @dataclass
@@ -107,8 +100,8 @@ class JobDescriptor:
         for name in ("w_base", "x_base", "y_base"):
             if getattr(self, name) % 4:
                 raise ShapeError(f"{name} must be word aligned")
-        if not 0 <= self.shift <= 15:
-            raise ShapeError("shift outside [0, 15]")
+        if not 0 <= self.shift <= SHIFT_MAX:
+            raise ShapeError(f"shift outside [0, {SHIFT_MAX}]")
 
 
 @dataclass
@@ -129,9 +122,9 @@ class PhaseSchedule:
 
 def phase_schedule(geom: JobGeometry, valid_out, cfg: EngineConfig
                    ) -> PhaseSchedule:
-    """Cycle budget: per block (stream_setup+1) load + 2 gaps + one
+    """Cycle budget: per block (STREAM_SETUP+1) load + 2 gaps + one
     accumulate cycle per valid lane; per tile a threshold phase of
-    stream_setup + 8 + 1 + 1 plus 2 gaps; one overhead per job."""
+    STREAM_SETUP + 8 + 1 + 1 plus 2 gaps; one overhead per job."""
     valid_out = np.asarray(valid_out)
     pixels = geom.h_out * geom.w_out
     blocks_per_tile = geom.fs * geom.fs * geom.kin_tiles
@@ -140,11 +133,11 @@ def phase_schedule(geom: JobGeometry, valid_out, cfg: EngineConfig
     thr_fetch = (geom.tp * 8 + 32 * cfg.ports - 1) // (32 * cfg.ports)
     accumulate = int(pixels * blocks_per_tile * valid_out.sum())
     return PhaseSchedule(
-        feature_load=n_blocks * (cfg.stream_setup + 1),
+        feature_load=n_blocks * (STREAM_SETUP + 1),
         accumulate=accumulate,
-        threshold=n_tiles * (cfg.stream_setup + thr_fetch + 1 + 1),
-        gaps=(2 * n_blocks + 2 * n_tiles) * cfg.phase_gap,
-        overhead=cfg.job_overhead)
+        threshold=n_tiles * (STREAM_SETUP + thr_fetch + 1 + 1),
+        gaps=(2 * n_blocks + 2 * n_tiles) * PHASE_GAP,
+        overhead=JOB_OVERHEAD)
 
 
 @dataclass
@@ -158,11 +151,10 @@ class JobResult:
 class Engine:
     """Functional block-level model with exact phase accounting."""
 
-    def __init__(self, cfg: EngineConfig, mem: Memory,
-                 program: MicrocodeProgram | None = None):
+    def __init__(self, cfg: EngineConfig, mem: Memory):
         self.cfg = cfg
         self.mem = mem
-        self.program = program or reference_program()
+        self.program = reference_program()
         self._pending: deque[JobDescriptor] = deque()
 
     @property
@@ -233,10 +225,8 @@ class Engine:
     def _threshold_store(self, job: JobDescriptor, ko: int,
                          acc: np.ndarray, y_off: int) -> int:
         tp = job.geom.tp
-        thr_bytes = self.mem.read(job.thr_base + ko * tp, tp)
-        tau = (thr_bytes & 0x7F).astype(np.int64)
-        tau[tau >= 64] -= 128
-        lam_pos = (thr_bytes & 0x80) == 0
+        tau, lam_pos = decode_thresholds(
+            self.mem.read(job.thr_base + ko * tp, tp))
         eff = tau << job.shift
         bits = np.where(lam_pos, acc >= eff, acc <= eff).astype(np.uint8)
         v = int(job.valid_out[ko])

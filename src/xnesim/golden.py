@@ -32,6 +32,7 @@ from .errors import DegenerateBatchNorm, PlanError, ShapeError
 
 TAU_Q_MIN = -64
 TAU_Q_MAX = 63
+SHIFT_MAX = 15     # widest threshold shift the engine applies
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ class ThresholdSpec:
             raise ShapeError("tau_q and lambda_positive must share one shape")
         if np.any(tq < TAU_Q_MIN) or np.any(tq > TAU_Q_MAX):
             raise ShapeError(f"tau_q outside [{TAU_Q_MIN}, {TAU_Q_MAX}]")
-        if not (0 <= int(self.shift) <= 15):
-            raise ShapeError("shift outside [0, 15]")
+        if not (0 <= int(self.shift) <= SHIFT_MAX):
+            raise ShapeError(f"shift outside [0, {SHIFT_MAX}]")
         object.__setattr__(self, "tau_q", tq)
         object.__setattr__(self, "lambda_positive", lp)
         object.__setattr__(self, "shift", int(self.shift))
@@ -195,9 +196,9 @@ def quantize_thresholds(tau_pc: np.ndarray, lambda_positive: np.ndarray,
     return ThresholdSpec(q, np.asarray(lambda_positive, dtype=bool), shift)
 
 
-def choose_shift(tau_pc: np.ndarray, max_shift: int = 15) -> int:
+def choose_shift(tau_pc: np.ndarray) -> int:
     """Smallest shift whose rounded thresholds all fit in 7 signed bits."""
-    for s in range(max_shift + 1):
+    for s in range(SHIFT_MAX + 1):
         ok = all(TAU_Q_MIN <= round_half_up_shift(int(t), s) <= TAU_Q_MAX
                  for t in tau_pc)
         if ok:

@@ -238,13 +238,11 @@ def _number(value, what: str) -> float:
     raise DecodeError(f"{what} must be a number, got {value!r}")
 
 
-def load_coefficients(path: str,
-                      base: CoefficientSet | None = None) -> CoefficientSet:
+def load_coefficients(path: str) -> CoefficientSet:
     """Override coefficients from a YAML file (partial updates allowed;
     a new mode gives every field). Malformed YAML, a document that is
     not a mapping, an unknown or missing key, or a value that is not a
     number or out of range raises DecodeError."""
-    cs = base or CoefficientSet()
     with open(path) as f:
         try:
             doc = yaml.safe_load(f) or {}
@@ -256,7 +254,7 @@ def load_coefficients(path: str,
                for k in _SCALAR_KEYS if k in doc}
     for k, v in scalars.items():
         _check_range(f"{path}: {k}", v, positive=k in _RATE_KEYS)
-    cs = replace(cs, modes=dict(cs.modes), **scalars)
+    cs = CoefficientSet(**scalars)
     modes = _mapping(doc.get("modes") or {}, f"{path} modes")
     for name, given in modes.items():
         what = f"{path} mode {name!r}"
@@ -272,12 +270,10 @@ def load_coefficients(path: str,
     return cs
 
 
-def coefficients_from_env(base: CoefficientSet | None = None,
-                          env: str = "XNESIM_COEFFS") -> CoefficientSet:
-    path = os.environ.get(env)
-    if path:
-        return load_coefficients(path, base)
-    return base or CoefficientSet()
+def coefficients_from_env() -> CoefficientSet:
+    """Coefficients from the YAML file XNESIM_COEFFS names, if set."""
+    path = os.environ.get("XNESIM_COEFFS")
+    return load_coefficients(path) if path else CoefficientSet()
 
 
 @dataclass

@@ -55,7 +55,6 @@ class JobPlan:
     d_eff: int                # band width seen by one lane
     npg: int                  # lanes sharing a band within a tile
     ch_base: int              # first global output channel
-    n_out: int
     x_bit_offset: int
     y_bit_offset: int
 
@@ -83,10 +82,6 @@ class LayerPlan:
     spec: LayerSpec
     tp: int
     jobs: list[JobPlan]
-    x_pixel_stride: int
-    x_row_stride: int
-    y_pixel_stride: int
-    y_row_stride: int
 
     def schedules(self, cfg: EngineConfig) -> list[PhaseSchedule]:
         return [phase_schedule(j.geom, j.valid_out, cfg) for j in self.jobs]
@@ -96,57 +91,33 @@ class LayerPlan:
 
 
 def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
-    wpp_in = words_for_bits(spec.nif)
-    wpp_out = words_for_bits(spec.nof)
-    xp, xr = 32 * wpp_in, 32 * wpp_in * spec.w_in
-    yp, yr = 32 * wpp_out, 32 * wpp_out * spec.w_out
-    npg_layer = spec.nof // spec.groups
-
-    def tiles(n: int) -> np.ndarray:
-        k = (n + tp - 1) // tp
-        return np.array([min(tp, n - i * tp) for i in range(k)])
-
-    jobs = []
-    if spec.groups == 1:
-        vo = tiles(spec.nof)
-        geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
-                           kin_tiles=(spec.nif + tp - 1) // tp,
-                           kout_tiles=len(vo), band_step=0,
-                           x_pixel_stride=xp, x_row_stride=xr,
-                           y_pixel_stride=yp, y_row_stride=yr)
-        jobs.append(JobPlan(geom, vo, d_eff=spec.nif, npg=tp,
-                            ch_base=0, n_out=spec.nof,
-                            x_bit_offset=0, y_bit_offset=0))
-    elif tp % npg_layer == 0 and ((tp // npg_layer) * spec.d_eff) % 32 == 0:
-        # bands fold linearly: one job, banded walk
-        span = (tp // npg_layer) * spec.d_eff
-        vo = tiles(spec.nof)
-        geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
-                           kin_tiles=(span + tp - 1) // tp,
-                           kout_tiles=len(vo), band_step=span,
-                           x_pixel_stride=xp, x_row_stride=xr,
-                           y_pixel_stride=yp, y_row_stride=yr)
-        jobs.append(JobPlan(geom, vo, d_eff=spec.d_eff, npg=npg_layer,
-                            ch_base=0, n_out=spec.nof,
-                            x_bit_offset=0, y_bit_offset=0))
+    groups, d_eff = spec.groups, spec.d_eff
+    npg = spec.nof // groups
+    if groups > 1 and tp % npg == 0 and (tp // npg) * d_eff % 32 == 0:
+        # bands fold linearly onto output tiles: one job, banded walk
+        band_step = span = (tp // npg) * d_eff
+        n_jobs, n_out, lanes = 1, spec.nof, npg
     else:
-        # one dense job per band
-        if spec.d_eff % 32 or npg_layer % 32:
+        # one dense job per band; full connectivity is the single band
+        if groups > 1 and (d_eff % 32 or npg % 32):
             raise PlanError(
-                f"band width {spec.d_eff} / band outputs {npg_layer} "
+                f"band width {d_eff} / band outputs {npg} "
                 f"must be word-aligned to split into per-band jobs")
-        for g in range(spec.groups):
-            vo = tiles(npg_layer)
-            geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
-                               kin_tiles=(spec.d_eff + tp - 1) // tp,
-                               kout_tiles=len(vo), band_step=0,
-                               x_pixel_stride=xp, x_row_stride=xr,
-                               y_pixel_stride=yp, y_row_stride=yr)
-            jobs.append(JobPlan(geom, vo, d_eff=spec.d_eff, npg=tp,
-                                ch_base=g * npg_layer, n_out=npg_layer,
-                                x_bit_offset=g * spec.d_eff,
-                                y_bit_offset=g * npg_layer))
-    return LayerPlan(spec, tp, jobs, xp, xr, yp, yr)
+        band_step, span = 0, d_eff
+        n_jobs, n_out, lanes = groups, npg, tp
+    valid_out = np.array([min(tp, n_out - k) for k in range(0, n_out, tp)])
+    wpp_in, wpp_out = words_for_bits(spec.nif), words_for_bits(spec.nof)
+    geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
+                       kin_tiles=(span + tp - 1) // tp,
+                       kout_tiles=len(valid_out), band_step=band_step,
+                       x_pixel_stride=32 * wpp_in,
+                       x_row_stride=32 * wpp_in * spec.w_in,
+                       y_pixel_stride=32 * wpp_out,
+                       y_row_stride=32 * wpp_out * spec.w_out)
+    return LayerPlan(spec, tp, [
+        JobPlan(geom, valid_out, d_eff, lanes, ch_base,
+                x_bit_offset=ch_base // npg * d_eff, y_bit_offset=ch_base)
+        for ch_base in range(0, n_jobs * n_out, n_out)])
 
 
 def weight_stream_words(job: JobPlan, spec: LayerSpec,
@@ -180,6 +151,31 @@ def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
         k0 = job.ch_base + ko * g.tp
         out[ko * g.tp:ko * g.tp + v] = enc[k0:k0 + v]
     return out
+
+
+def load_job(mem: Memory, job: JobPlan, spec: LayerSpec, w: BinaryWeights,
+             thr: ThresholdSpec, w_base: int, x_base: int,
+             y_base: int) -> JobDescriptor:
+    """Write the job's weight stream at w_base and its threshold bytes
+    right after it, and return the descriptor that offloads the job.
+    x_base and y_base are the layer's input and output images; the
+    job's bit offsets into them are added here. CapacityError when the
+    region holding w_base cannot hold stream and thresholds."""
+    stream = weight_stream_words(job, spec, w)
+    thr_bytes = threshold_stream_bytes(job, thr)
+    region = mem.region_of(w_base, 0)
+    if not region.contains(w_base, 4 * len(stream) + len(thr_bytes)):
+        raise CapacityError(f"weight stream and thresholds exceed "
+                            f"the {region.name} region")
+    thr_base = w_base + 4 * len(stream)
+    mem.write_words(w_base, stream)
+    mem.write(thr_base, thr_bytes)
+    return JobDescriptor(
+        geom=job.geom, w_base=w_base,
+        x_base=x_base + job.x_bit_offset // 8,
+        y_base=y_base + job.y_bit_offset // 8,
+        thr_base=thr_base, shift=thr.shift,
+        masks=job.masks(), valid_out=job.valid_out)
 
 
 @dataclass
@@ -223,27 +219,12 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
         raise CapacityError("activations exceed the core-coupled memory")
     mem.write_words(x_base, x_words)
 
-    cursor = mem.base("sram")
-    sram_end = cursor + mem.regions["sram"].size
+    w_base = mem.base("sram")
     eng = Engine(cfg, mem)
     runs = []
     for job in plan.jobs:
-        stream = weight_stream_words(job, spec, w)
-        thr_bytes = threshold_stream_bytes(job, thr)
-        if cursor + 4 * len(stream) + len(thr_bytes) > sram_end:
-            raise CapacityError("weight stream exceeds the shared memory")
-        mem.write_words(cursor, stream)
-        w_base = cursor
-        cursor += 4 * len(stream)
-        mem.write(cursor, thr_bytes)
-        thr_base = cursor
-        cursor += (len(thr_bytes) + 3) & ~3
-        desc = JobDescriptor(
-            geom=job.geom, w_base=w_base,
-            x_base=x_base + job.x_bit_offset // 8,
-            y_base=y_base + job.y_bit_offset // 8,
-            thr_base=thr_base, shift=thr.shift,
-            masks=job.masks(), valid_out=job.valid_out)
+        desc = load_job(mem, job, spec, w, thr, w_base, x_base, y_base)
+        w_base = desc.thr_base + job.geom.kout_tiles * cfg.tp  # word aligned
         eng.submit(desc)
         runs.append(eng.run_next())
 
@@ -358,15 +339,12 @@ def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
 
 
 def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
-                coeffs: CoefficientSet | None = None,
-                cfg: EngineConfig | None = None) -> NetworkReport:
+                coeffs: CoefficientSet | None = None) -> NetworkReport:
     """Analytic pass: cycle budgets, transfer overlap, energy."""
     cs = coeffs or coefficients_from_env()
     m = cs.mode(mode)
     check_fit(net, m.weights_region)
-    cfg = cfg or EngineConfig(tp=tp)
-    if cfg.tp != tp:
-        raise PlanError("tp disagrees with the engine config")
+    cfg = EngineConfig(tp=tp)
     f_hz = m.freq_mhz * 1e6
     rep = NetworkReport(net.name, mode, tp)
     for nl in net.layers:
@@ -392,12 +370,11 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
 
 
 def verify_layers(n_layers: int, seed: int, tp: int = 128,
-                  max_spatial: int = 8,
-                  cfg: EngineConfig | None = None) -> list[dict]:
+                  max_spatial: int = 8) -> list[dict]:
     """Random engine-vs-reference sweeps; returns a record per layer
     with a `mismatches` count (0 everywhere when the engine is right)."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or EngineConfig(tp=tp)
+    cfg = EngineConfig(tp=tp)
     records = []
     for i in range(n_layers):
         spec = random_layer_spec(rng, max_spatial=max_spatial)

@@ -3,42 +3,33 @@ import pytest
 
 from xnesim import engine
 from xnesim.engine import (ACC_MAX, Engine, EngineConfig, JobDescriptor,
-                           decode_threshold_byte, encode_threshold_byte,
-                           encode_thresholds, phase_schedule, run_single_job)
+                           decode_thresholds, encode_thresholds,
+                           phase_schedule, run_single_job)
 from xnesim.errors import BusyError, PlanError, ShapeError
 from xnesim.golden import (LayerSpec, ThresholdSpec, layer_golden,
                            random_layer_data)
 from xnesim.memory import Memory
-from xnesim.runner import (execute_layer, plan_layer, random_threshold_spec,
-                           threshold_stream_bytes, weight_stream_words)
+from xnesim.runner import (execute_layer, load_job, plan_layer,
+                           random_threshold_spec)
 
 
 # --- threshold byte ----------------------------------------------------
 
 def test_threshold_byte_roundtrip_exhaustive():
-    for tau in range(-64, 64):
-        for lp in (True, False):
-            b = encode_threshold_byte(tau, lp)
-            assert 0 <= b <= 255
-            assert decode_threshold_byte(b) == (tau, lp)
+    # every (tau_q, direction) pair, one channel each: all 256 bytes
+    tau = np.tile(np.arange(-64, 64), 2)
+    lp = np.repeat([True, False], 128)
+    enc = encode_thresholds(ThresholdSpec(tau, lp, 2))
+    assert enc.dtype == np.uint8 and len(set(enc.tolist())) == 256
+    got_tau, got_lp = decode_thresholds(enc)
+    assert np.array_equal(got_tau, tau) and np.array_equal(got_lp, lp)
 
 
 def test_threshold_byte_sign_bit():
     # bit 7 flags the flipped comparison, bits 6..0 hold the threshold
-    assert encode_threshold_byte(0, True) == 0
-    assert encode_threshold_byte(0, False) == 0x80
-    assert encode_threshold_byte(-1, True) == 0x7F
-    assert encode_threshold_byte(63, True) == 0x3F
-    assert encode_threshold_byte(-64, True) == 0x40
-
-
-def test_encode_thresholds_vector():
-    thr = ThresholdSpec(np.array([0, 5, -3, 63, -64]),
-                        np.array([1, 0, 1, 0, 1], dtype=bool), 2)
-    enc = encode_thresholds(thr)
-    for i in range(5):
-        assert decode_threshold_byte(int(enc[i])) == (
-            int(thr.tau_q[i]), bool(thr.lambda_positive[i]))
+    thr = ThresholdSpec(np.array([0, 0, -1, 63, -64]),
+                        np.array([1, 0, 1, 1, 1], dtype=bool), 0)
+    assert encode_thresholds(thr).tolist() == [0, 0x80, 0x7F, 0x3F, 0x40]
 
 
 # --- config -------------------------------------------------------------
@@ -58,7 +49,7 @@ def test_phase_schedule_small_case_by_hand():
     s = plan.schedules(EngineConfig(tp=128))[0]
     blocks = 6 * 2          # pixels * kin_tiles
     tiles = 6
-    assert s.feature_load == blocks * 3      # stream_setup 2 + 1
+    assert s.feature_load == blocks * 3      # STREAM_SETUP 2 + 1
     assert s.accumulate == 60                # 6 pixels * 2 tiles * 5 lanes
     assert s.threshold == tiles * (2 + 8 + 1 + 1)
     assert s.gaps == (2 * blocks + 2 * tiles) * 8
@@ -136,18 +127,9 @@ def _tiny_job(mem):
     rng = np.random.default_rng(1)
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
-    plan = plan_layer(spec, 128)
-    job = plan.jobs[0]
     mem.write_words(mem.base("l1"), x.flat_words())
-    stream = weight_stream_words(job, spec, w)
-    mem.write_words(mem.base("sram"), stream)
-    tb = mem.base("sram") + 4 * len(stream)
-    mem.write(tb, threshold_stream_bytes(job, thr))
-    return JobDescriptor(geom=job.geom, w_base=mem.base("sram"),
-                         x_base=mem.base("l1"),
-                         y_base=mem.base("l1") + 0x1000, thr_base=tb,
-                         shift=thr.shift, masks=job.masks(),
-                         valid_out=job.valid_out)
+    return load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+                    mem.base("sram"), mem.base("l1"), mem.base("l1") + 0x1000)
 
 
 def test_double_buffer_and_busy():
@@ -209,19 +191,11 @@ def test_sink_writes_only_valid_bytes():
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
     mem = Memory()
-    plan = plan_layer(spec, 128)
-    job = plan.jobs[0]
     mem.write_words(mem.base("l1"), x.flat_words())
-    stream = weight_stream_words(job, spec, w)
-    mem.write_words(mem.base("sram"), stream)
-    tb = mem.base("sram") + 4 * len(stream)
-    mem.write(tb, threshold_stream_bytes(job, thr))
     y_base = mem.base("l1") + 0x1000
     mem.write(y_base, np.full(16, 0xAA, dtype=np.uint8))
-    desc = JobDescriptor(geom=job.geom, w_base=mem.base("sram"),
-                         x_base=mem.base("l1"), y_base=y_base, thr_base=tb,
-                         shift=thr.shift, masks=job.masks(),
-                         valid_out=job.valid_out)
+    desc = load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+                    mem.base("sram"), mem.base("l1"), y_base)
     run_single_job(EngineConfig(tp=128), mem, desc)
     got = mem.read(y_base, 16).reshape(4, 4)
     assert np.all(got[:, 2:] == 0xAA)          # untouched tail bytes
@@ -256,18 +230,10 @@ def test_saturation_clamps_at_16_bits():
     outs = {}
     for sat in (True, False):
         mem = Memory()
-        plan = plan_layer(spec, 128)
-        job = plan.jobs[0]
         mem.write_words(mem.base("l1"), xt.flat_words())
-        stream = weight_stream_words(job, spec, wt)
-        mem.write_words(mem.base("hyperram"), stream)  # too big for sram
-        tb = mem.base("hyperram") + 4 * len(stream)
-        mem.write(tb, threshold_stream_bytes(job, thr))
-        desc = JobDescriptor(geom=job.geom, w_base=mem.base("hyperram"),
-                             x_base=mem.base("l1"),
-                             y_base=mem.base("l1") + 0x8000, thr_base=tb,
-                             shift=thr.shift, masks=job.masks(),
-                             valid_out=job.valid_out)
+        desc = load_job(mem, plan_layer(spec, 128).jobs[0], spec, wt, thr,
+                        mem.base("hyperram"),  # too big for sram
+                        mem.base("l1"), mem.base("l1") + 0x8000)
         run_single_job(EngineConfig(tp=128, saturate=sat), mem, desc)
         outs[sat] = int(mem.read(mem.base("l1") + 0x8000, 1)[0])
     assert outs[False] == 0xFF   # 65550 >= 65536

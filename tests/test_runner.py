@@ -257,8 +257,3 @@ def test_leakage_term():
     rep = run_network(get_network("mvgg-f"), "scm-0v4", coeffs=cs)
     assert rep.energy.leakage_j == pytest.approx(rep.total_seconds * 2e-3)
 
-
-def test_run_network_tp_config_consistency():
-    with pytest.raises(PlanError):
-        run_network(get_network("mvgg-f"), "scm-0v4", tp=128,
-                    cfg=EngineConfig(tp=256))
