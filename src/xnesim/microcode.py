@@ -221,13 +221,22 @@ def disassemble(data: bytes,
 # YAML source format
 
 
+def _expect(value, kind: type, what: str):
+    """value if it is a kind; UcodeSyntaxError naming *what* otherwise."""
+    if not isinstance(value, kind):
+        a_kind = {dict: "a mapping", list: "a list", int: "an integer"}[kind]
+        raise UcodeSyntaxError(f"{what} must be {a_kind}, got {value!r}")
+    return value
+
+
 def parse_program(text: str) -> MicrocodeProgram:
     """Load a program from its YAML source.
 
     Keys: optional `mnemonics` (extra register name -> index), `code`
     (list of {name, op, dst, src}), `loops` (innermost first, each
     {range, instructions: [names]}; the names must form a contiguous
-    run of the code list).
+    run of the code list). A field of the wrong kind or a missing one
+    raises UcodeSyntaxError naming it.
     """
     try:
         doc = yaml.safe_load(text)
@@ -236,29 +245,32 @@ def parse_program(text: str) -> MicrocodeProgram:
     if not isinstance(doc, dict) or "code" not in doc:
         raise UcodeSyntaxError("program source needs a `code` list")
     names = dict(REG_NAMES)
-    for k, v in (doc.get("mnemonics") or {}).items():
-        names[str(k)] = int(v)
+    for k, v in _expect(doc.get("mnemonics") or {}, dict,
+                        "mnemonics").items():
+        names[str(k)] = _expect(v, int, f"mnemonics {k!r}")
 
     def reg(tok) -> int:
-        if isinstance(tok, int):
-            idx = tok
-        else:
-            if tok not in names:
-                raise UcodeSyntaxError(f"unknown register {tok!r}")
-            idx = names[tok]
+        idx = tok if isinstance(tok, int) else names.get(str(tok))
+        if idx is None:
+            raise UcodeSyntaxError(f"unknown register {tok!r}")
         if not 0 <= idx < N_REGS:
             raise UcodeSyntaxError(f"register index {idx} out of range")
         return idx
 
+    def fields(row, what: str, keys: tuple[str, ...]) -> None:
+        missing = [k for k in keys if k not in _expect(row, dict, what)]
+        if missing:
+            raise UcodeSyntaxError(f"{what} needs {', '.join(missing)}")
+
     instrs = []
     label_pos = {}
-    for i, row in enumerate(doc["code"]):
+    for i, row in enumerate(_expect(doc["code"], list, "code")):
+        fields(row, f"code[{i}]", ("op", "dst", "src"))
         try:
-            opname = str(row["op"]).upper()
-            op = Op[opname]
+            op = Op[str(row["op"]).upper()]
         except KeyError:
             raise UcodeSyntaxError(
-                f"code[{i}]: op must be mv or add, got {row.get('op')!r}")
+                f"code[{i}]: op must be mv or add, got {row['op']!r}")
         label = str(row.get("name", f"i{i}"))
         if label in label_pos:
             raise UcodeSyntaxError(f"duplicate instruction name {label!r}")
@@ -270,8 +282,10 @@ def parse_program(text: str) -> MicrocodeProgram:
                 f"code[{i}]: destination must be a pointer register")
 
     loops = []
-    for li, row in enumerate(doc.get("loops") or []):
-        body = row.get("instructions") or []
+    for li, row in enumerate(_expect(doc.get("loops") or [], list, "loops")):
+        fields(row, f"loops[{li}]", ("range",))
+        body = _expect(row.get("instructions") or [], list,
+                       f"loops[{li}] instructions")
         if not body:
             raise UcodeSyntaxError(f"loops[{li}] has an empty body")
         pos = [label_pos.get(str(n)) for n in body]

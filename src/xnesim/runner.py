@@ -1,14 +1,14 @@
 """Mapping layers onto the engine and running whole networks.
 
-plan_layer turns a layer into one or more engine jobs:
+plan_layer turns a layer into engine jobs by one rule:
 
-  * full connectivity: one job, input tiles walked per output tile;
   * banded connectivity whose bands fold linearly onto output tiles
-    (band-per-lane groups, or any grouping where a whole number of
-    lanes share a band and tp is a multiple of it): one job using the
-    band_step walk plus per-lane masks;
-  * other groupings: one dense job per band, offset into the shared
+    (tp is a multiple of the outputs per band, and the input span of
+    one tile is word-aligned): one job using the band_step walk plus
+    per-lane masks;
+  * anything else: one dense job per band, offset into the shared
     input/output images (band and group sizes must be word-aligned).
+    Full connectivity is the single-band case, so it never folds.
 
 The weight stream holds, per (output tile, tap, input tile), TP lanes
 of TP bits each, lane vectors aligned with where the feature vector
@@ -39,7 +39,7 @@ from .memory import (KIB, PARAM_REGION, CoefficientSet, EnergyBreakdown,
                      Memory, account_energy, coefficients_from_env,
                      default_memory_map)
 from .microcode import JobGeometry
-from .networks import NetLayer, NetworkDescriptor
+from .networks import NetworkDescriptor
 
 REGION_BYTES = {r.name: r.size for r in default_memory_map()}
 ONCHIP_SHARED_BYTES = REGION_BYTES["sram"] + REGION_BYTES["scm"]  # activations
@@ -372,7 +372,10 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
 def verify_layers(n_layers: int, seed: int, tp: int = 128,
                   max_spatial: int = 8) -> list[dict]:
     """Random engine-vs-reference sweeps; returns a record per layer
-    with a `mismatches` count (0 everywhere when the engine is right)."""
+    with a `mismatches` count (0 everywhere when the engine is right).
+    ShapeError unless n_layers >= 1: an empty sweep proves nothing."""
+    if n_layers < 1:
+        raise ShapeError(f"need at least one layer, got {n_layers}")
     rng = np.random.default_rng(seed)
     cfg = EngineConfig(tp=tp)
     records = []

@@ -94,6 +94,22 @@ def test_verify_cli(capsys):
     assert "0 with mismatches" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("layers", ["0", "-1"])
+def test_verify_rejects_empty_sweep(layers, capsys):
+    assert main(["verify", "--layers", layers]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert layers in err
+
+
+def test_ucode_asm_bad_field(tmp_path, capsys):
+    src = tmp_path / "p.yaml"
+    src.write_text("code: [{op: add, dst: W}]\n")
+    assert main(["ucode", "asm", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: code[0] needs src\n"
+
+
 def test_verify_failure_prints_replay(monkeypatch, capsys):
     real = runner.layer_golden
 

@@ -8,11 +8,10 @@ from xnesim import golden
 from xnesim.bintensor import BinaryTensor, BinaryWeights
 from xnesim.errors import DegenerateBatchNorm, ShapeError
 from xnesim.golden import (BatchNormParams, LayerSpec, ThresholdSpec,
-                           apply_thresholds, choose_shift, conv_popcounts,
-                           derive_thresholds, layer_golden, majority_avgpool,
-                           or_maxpool, popcount_thresholds,
-                           quantize_thresholds, real_reference,
-                           round_half_up_shift)
+                           choose_shift, conv_popcounts, derive_thresholds,
+                           layer_golden, majority_avgpool, or_maxpool,
+                           popcount_thresholds, quantize_thresholds,
+                           real_reference, round_half_up_shift)
 
 
 def naive_popcounts(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xnesim import memory as mem
 from xnesim.errors import DecodeError, RegionError, ShapeError
 from xnesim.memory import (CoefficientSet, Memory, account_energy,
                            coefficients_from_env, load_coefficients, realign)

@@ -270,6 +270,21 @@ def test_yaml_parse_errors():
         parse_program("code: [{op: add, dst: W, src: nothere}]")
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("code: 5\n", r"code must be a list, got 5"),
+    ("code: [5]\n", r"code\[0\] must be a mapping, got 5"),
+    ("mnemonics: 5\ncode: []\n", r"mnemonics must be a mapping, got 5"),
+    ("code: [{op: add, dst: W}]\n", r"code\[0\] needs src"),
+    ("code: [{name: i0, op: add, dst: W, src: tp}]\n"
+     "loops: [{range: nif, instructions: i0}]\n",
+     r"loops\[0\] instructions must be a list, got 'i0'"),
+], ids=["code-not-list", "row-not-mapping", "mnemonics-not-mapping",
+        "missing-src", "loop-body-not-list"])
+def test_yaml_malformed_fields(text, problem):
+    with pytest.raises(UcodeSyntaxError, match=problem):
+        parse_program(text)
+
+
 def test_yaml_custom_mnemonics():
     prog = parse_program(
         "mnemonics: {stride: 8}\n"

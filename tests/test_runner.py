@@ -4,10 +4,10 @@ import pytest
 from xnesim.bintensor import BinaryTensor, BinaryWeights
 from xnesim.engine import EngineConfig
 from xnesim.errors import CapacityError, PlanError, ShapeError
-from xnesim.golden import LayerSpec, layer_golden, random_layer_data
-from xnesim.memory import CoefficientSet
+from xnesim.golden import LayerSpec, random_layer_data
+from xnesim.memory import CoefficientSet, Memory
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
-from xnesim.runner import (check_fit, execute_layer, plan_layer,
+from xnesim.runner import (check_fit, execute_layer, load_job, plan_layer,
                            random_threshold_spec, run_network,
                            threshold_stream_bytes, verify_layers,
                            weight_stream_words)
@@ -17,50 +17,38 @@ CFG = EngineConfig(tp=128)
 
 # --- planning -----------------------------------------------------------
 
-def test_plan_dense_single_job():
-    spec = LayerSpec(nif=300, nof=140, fs=3, h_out=4, w_out=4)
-    plan = plan_layer(spec, 128)
-    assert len(plan.jobs) == 1
-    g = plan.jobs[0].geom
-    assert (g.kin_tiles, g.kout_tiles, g.band_step) == (3, 2, 0)
-    assert list(plan.jobs[0].valid_out) == [128, 12]
-    assert g.x_pixel_stride == 32 * 10          # 300 bits -> 10 words
-    assert g.y_pixel_stride == 32 * 5
+# per job: (kin_tiles, kout_tiles, band_step, npg, ch_base, x_bit_offset,
+#           y_bit_offset, valid_out); per layer the (x, y) pixel strides
+PLAN_CASES = {
+    "dense": (LayerSpec(nif=300, nof=140, fs=3, h_out=4, w_out=4),
+              (320, 160), [(3, 2, 0, 128, 0, 0, 0, [128, 12])]),
+    # one dense band never folds, though 32 outputs x 64 bits would
+    "dense-never-folds": (LayerSpec(nif=64, nof=32, fs=1, h_out=1, w_out=1),
+                          (64, 32), [(1, 1, 0, 128, 0, 0, 0, [32])]),
+    # one input channel per output: tp outputs share a tp-bit span
+    "banded": (LayerSpec(nif=96, nof=96, fs=3, h_out=2, w_out=2, d=1),
+               (96, 96), [(1, 1, 128, 1, 0, 0, 0, [96])]),
+    # 2 lanes per band of 64 bits: span = 64 * 64 bits
+    "banded-wide": (LayerSpec(nif=4096, nof=128, fs=1, h_out=1, w_out=1,
+                              d=64),
+                    (4096, 128), [(32, 1, 4096, 2, 0, 0, 0, [128])]),
+    # 2 bands of 256 outputs: a 128-lane tile cannot hold a whole band
+    "per-band": (LayerSpec(nif=256, nof=512, fs=1, h_out=2, w_out=2,
+                           d=128),
+                 (256, 512), [(1, 2, 0, 128, 0, 0, 0, [128, 128]),
+                              (1, 2, 0, 128, 256, 128, 256, [128, 128])]),
+}
 
 
-def test_plan_banded_single_job():
-    # one input channel per output channel: tp outputs share a tp-bit span
-    spec = LayerSpec(nif=96, nof=96, fs=3, h_out=2, w_out=2, d=1)
-    plan = plan_layer(spec, 128)
-    assert len(plan.jobs) == 1
-    g = plan.jobs[0].geom
-    assert g.band_step == 128                   # (tp/npg) * d_eff
-    assert g.kin_tiles == 1
-    assert plan.jobs[0].npg == 1
-
-
-def test_plan_banded_wide_bands():
-    # npg = 2 lanes per band of 64 bits: span = 64 * 64 = 4096 bits
-    spec = LayerSpec(nif=4096, nof=128, fs=1, h_out=1, w_out=1, d=64)
-    plan = plan_layer(spec, 128)
-    assert len(plan.jobs) == 1
-    g = plan.jobs[0].geom
-    assert g.band_step == 64 * 64
-    assert g.kin_tiles == 32
-    assert plan.jobs[0].npg == 2
-
-
-def test_plan_falls_back_to_per_band_jobs():
-    # 2 groups of 256 outputs: a 128-lane tile cannot hold a whole band
-    spec = LayerSpec(nif=256, nof=512, fs=1, h_out=2, w_out=2, d=128)
-    plan = plan_layer(spec, 128)
-    assert len(plan.jobs) == 2
-    for gidx, job in enumerate(plan.jobs):
-        assert job.geom.band_step == 0
-        assert job.ch_base == gidx * 256
-        assert job.x_bit_offset == gidx * 128
-        assert job.y_bit_offset == gidx * 256
-        assert job.geom.kout_tiles == 2
+@pytest.mark.parametrize("spec, strides, want", PLAN_CASES.values(),
+                         ids=PLAN_CASES)
+def test_plan_layer_jobs(spec, strides, want):
+    jobs = plan_layer(spec, 128).jobs
+    assert [(j.geom.kin_tiles, j.geom.kout_tiles, j.geom.band_step, j.npg,
+             j.ch_base, j.x_bit_offset, j.y_bit_offset, j.valid_out.tolist())
+            for j in jobs] == want
+    for j in jobs:
+        assert (j.geom.x_pixel_stride, j.geom.y_pixel_stride) == strides
 
 
 def test_plan_fallback_requires_alignment():
@@ -179,12 +167,26 @@ def test_execute_layer_l1_capacity():
         execute_layer(CFG, spec, x, w, thr)
 
 
+def test_load_job_capacity():
+    # the acceptance-8 stream (513 input tiles, 1 MiB) does not fit sram
+    big = LayerSpec(nif=65550, nof=8, fs=1, h_out=1, w_out=1)
+    small = LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)
+    mem = Memory()
+    sram_end = mem.base("sram") + mem.regions["sram"].size
+    for spec, w_base in ((big, mem.base("sram")), (small, sram_end)):
+        rng = np.random.default_rng(7)
+        _, w = random_layer_data(rng, spec)
+        thr = random_threshold_spec(rng, spec)
+        with pytest.raises(CapacityError, match="sram"):
+            load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+                     w_base, mem.base("l1"), mem.base("l1"))
+
+
 def test_execute_layer_traffic_counted():
     spec = LayerSpec(nif=64, nof=64, fs=3, h_out=2, w_out=2)
     rng = np.random.default_rng(6)
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
-    from xnesim.memory import Memory
     mem = Memory()
     execute_layer(CFG, spec, x, w, thr, mem=mem)
     assert mem.traffic["sram"]["read_bits"] > 0
