@@ -32,6 +32,16 @@ def test_threshold_byte_sign_bit():
     assert encode_thresholds(thr).tolist() == [0, 0x80, 0x7F, 0x3F, 0x40]
 
 
+def test_encode_thresholds_vector():
+    thr = ThresholdSpec(np.array([0, 5, -3, 63, -64]),
+                        np.array([1, 0, 1, 0, 1], dtype=bool), 2)
+    enc = encode_thresholds(thr)
+    assert enc.dtype == np.uint8 and enc.shape == (5,)
+    got_tau, got_lp = decode_thresholds(enc)
+    assert np.array_equal(got_tau, thr.tau_q)
+    assert np.array_equal(got_lp, thr.lambda_positive)
+
+
 # --- config -------------------------------------------------------------
 
 def test_engine_config_validation():
