@@ -39,6 +39,13 @@ def _coeffs(args) -> CoefficientSet:
     return coefficients_from_env()
 
 
+def _seed(args) -> int:
+    """--seed, which numpy's generators need non-negative."""
+    if args.seed < 0:
+        raise XneError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def cmd_ucode_asm(args) -> int:
     with open(args.input) as f:
         prog = parse_program(f.read())
@@ -88,7 +95,7 @@ def cmd_run_layer(args) -> int:
     spec = LayerSpec(nif=args.nif, nof=args.nof, fs=args.fs,
                      h_out=args.h, w_out=args.w, d=args.d)
     cfg = EngineConfig(tp=args.tp)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
     run = execute_layer(cfg, spec, x, w, thr)
@@ -135,7 +142,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    recs = verify_layers(args.layers, seed=args.seed, tp=args.tp)
+    recs = verify_layers(args.layers, seed=_seed(args), tp=args.tp)
     bad = [r for r in recs if r["mismatches"]]
     total_ops = sum(r["ops"] for r in recs)
     print(f"{len(recs)} layers, {total_ops} ops, "

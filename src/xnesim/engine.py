@@ -11,6 +11,15 @@ a three-phase pipeline per output tile:
   Threshold     fetch TP threshold bytes, compare (inclusive), emit one
                 output bit per valid lane
 
+The model evaluates each job as a whole rather than cycle by cycle: it
+builds the job's whole offset stream (microcode.walk_offsets), reads
+every distinct weight block and feature vector once while charging the
+memory for every access the pipeline makes, accumulates all tiles with
+exact matrix products, clamps once (popcounts are >= 0, so that equals
+saturating after every step), then thresholds and stores every tile.
+Phase cycles are the closed-form phase_schedule, checked against the
+accumulate cycles of the walk.
+
 A threshold byte holds the 7-bit two's-complement quantized threshold
 in bits 6..0 and the comparison direction in bit 7 (set = negative
 batch-norm scale, compare acc <= tau). The job's shift scales tau back
@@ -29,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import pack_bits
+from .bits import pack_bits, unpack_bits
 from .errors import BusyError, PlanError, ShapeError
 from .golden import SHIFT_MAX, ThresholdSpec
 from .memory import Memory
-from .microcode import (JobGeometry, UcodeState, reference_program,
-                        ucode_registers)
+from .microcode import (JobGeometry, reference_program, ucode_registers,
+                        walk_offsets)
 
 ACC_MAX = 0xFFFF
 VALID_TPS = (32, 64, 128, 256, 512)
@@ -176,65 +185,85 @@ class Engine:
         return self._execute(self._pending.popleft())
 
     def _execute(self, job: JobDescriptor) -> JobResult:
-        cfg = self.cfg
         g = job.geom
         tp = g.tp
-        wpv = tp // 32
-        state = UcodeState(self.program, ucode_registers(g))
+        mem = self.mem
+        offs = walk_offsets(self.program, ucode_registers(g))
+        # step = (pixel * kout_tiles + ko) * n_inner + s: each tile (one
+        # output vector) accumulates n_inner blocks, s = (fi, fj, ki)
         n_inner = g.fs * g.fs * g.kin_tiles
-
-        mask_bits = np.bitwise_count(job.masks).sum(axis=(2, 3))
-
-        acc = np.zeros(tp, dtype=np.int64)
-        ops = 0
-        outputs = 0
-        acc_cycles = 0
-        step = 0
-        ko = 0
-        tile_y_off = 0
-        while (off := state.step()) is not None:
-            w_off, x_off, y_off = off
-            s = step % n_inner
-            if s == 0:
-                ko = (step // n_inner) % g.kout_tiles
-                tile_y_off = y_off
-                acc[:] = 0
-            ki = s % g.kin_tiles
-
-            w_words = self.mem.read_words(job.w_base + w_off // 8, tp * wpv)
-            w_block = w_words.reshape(tp, wpv)
-            x_vec = self.mem.read_words(job.x_base + x_off // 8, wpv)
-            agree = (~(w_block ^ x_vec[None, :])) & job.masks[ko, ki]
-            acc += np.bitwise_count(agree).sum(axis=1, dtype=np.int64)
-            if cfg.saturate:
-                np.minimum(acc, ACC_MAX, out=acc)
-            ops += 2 * int(mask_bits[ko, ki])
-            acc_cycles += int(job.valid_out[ko])
-
-            if s == n_inner - 1:
-                outputs += self._threshold_store(job, ko, acc, tile_y_off)
-            step += 1
-
-        sched = phase_schedule(g, job.valid_out, cfg)
+        step = np.arange(len(offs))
+        ko = step // n_inner % g.kout_tiles
+        ki = step % n_inner % g.kin_tiles
+        sched = phase_schedule(g, job.valid_out, self.cfg)
+        acc_cycles = int(job.valid_out[ko].sum())
         if sched.accumulate != acc_cycles:
             raise PlanError(f"microcode walk took {acc_cycles} accumulate "
                             f"cycles, the phase schedule {sched.accumulate}")
-        return JobResult(cycles=sched.total, ops=ops,
+
+        # one fetch per distinct weight block and feature vector; every
+        # step's access is still checked and charged
+        w_rows, w_of = mem.gather_words(job.w_base + offs[:, 0] // 8,
+                                        tp * tp // 32)
+        x_rows, x_of = mem.gather_words(job.x_base + offs[:, 1] // 8,
+                                        tp // 32)
+        x = unpack_bits(x_rows, tp).astype(np.float32)
+        w_of = w_of.reshape(-1, g.kout_tiles, n_inner)
+        x_of = x_of.reshape(w_of.shape)
+
+        # Runs of pixels that read one weight block at (ko, s); the
+        # reference walk makes one run per (ko, s). For lane mask m and
+        # weights w, with p = m & ~w and n = m & w (the bits that agree
+        # when x is 0, resp. 1): popcount(~(x ^ w) & m) = sum(p) - x.(p - n),
+        # so each run is one matrix product. x.(p - n) sums at most tp
+        # values in {-1, 0, 1}: float32 is exact.
+        # a run ends where the next one in its (ko, s) column starts, or
+        # at the column's end
+        cols = w_of.transpose(1, 2, 0).reshape(-1, len(w_of))
+        fresh = np.ones(cols.shape, dtype=bool)
+        fresh[:, 1:] = cols[:, 1:] != cols[:, :-1]
+        col, start = np.nonzero(fresh)
+        end = np.append(start[1:], 0)
+        end[np.append(col[1:] != col[:-1], True)] = len(w_of)
+        k, s = np.divmod(col, n_inner)
+        m = job.masks[k, s % g.kin_tiles]
+        w = w_rows[cols[col, start]].reshape(m.shape)
+        p, n = m & ~w, m & w
+        agree_at_0 = np.bitwise_count(p).sum(axis=2, dtype=np.float32)
+        acc = np.zeros(w_of.shape[:2] + (tp,))
+        for r, (a, b) in enumerate(zip(start, end)):
+            signed = (unpack_bits(p[r], tp).view(np.int8)
+                      - unpack_bits(n[r], tp).view(np.int8))
+            agree = x[x_of[a:b, k[r], s[r]]] @ signed.astype(np.float32).T
+            acc[a:b, k[r]] += np.subtract(agree_at_0[r], agree, out=agree)
+        if self.cfg.saturate:
+            # popcounts are >= 0: one clamp equals a clamp per step
+            np.minimum(acc, ACC_MAX, out=acc)
+
+        outputs = self._threshold_store(job, acc.reshape(-1, tp),
+                                        ko[::n_inner], offs[::n_inner, 2])
+        mask_bits = np.bitwise_count(job.masks).sum(axis=(2, 3))
+        return JobResult(cycles=sched.total,
+                         ops=2 * int(mask_bits[ko, ki].sum()),
                          outputs_written=outputs, schedule=sched)
 
-    def _threshold_store(self, job: JobDescriptor, ko: int,
-                         acc: np.ndarray, y_off: int) -> int:
+    def _threshold_store(self, job: JobDescriptor, acc: np.ndarray,
+                         ko: np.ndarray, y_off: np.ndarray) -> int:
+        """Threshold every tile's accumulators (tile t is output tile
+        ko[t], stored at bit offset y_off[t]) and write its valid lanes'
+        bytes; returns the number of output bits written."""
         tp = job.geom.tp
-        tau, lam_pos = decode_thresholds(
-            self.mem.read(job.thr_base + ko * tp, tp))
-        eff = tau << job.shift
-        bits = np.where(lam_pos, acc >= eff, acc <= eff).astype(np.uint8)
-        v = int(job.valid_out[ko])
-        bits[v:] = 0  # invalid remainder lanes emit zero
-        nbytes = (v + 7) // 8  # sink drops bytes past the valid lanes
-        payload = pack_bits(bits).view(np.uint8)[:nbytes]
-        self.mem.write(job.y_base + y_off // 8, payload)
-        return v
+        thr_rows, thr_of = self.mem.gather(job.thr_base + ko * tp, tp)
+        tau, lam_pos = decode_thresholds(thr_rows)
+        eff, lam_pos = (tau << job.shift)[thr_of], lam_pos[thr_of]
+        v = job.valid_out[ko]
+        acc = acc.astype(np.int64)
+        bits = (np.where(lam_pos, acc >= eff, acc <= eff)
+                & (np.arange(tp) < v[:, None]))  # invalid lanes emit zero
+        # the sink drops bytes past the valid lanes
+        self.mem.scatter(job.y_base + y_off // 8,
+                         pack_bits(bits).view(np.uint8), (v + 7) // 8)
+        return int(v.sum())
 
 
 def run_single_job(cfg: EngineConfig, mem: Memory,

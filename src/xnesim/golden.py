@@ -230,23 +230,22 @@ def conv_popcounts(x: BinaryTensor, w: BinaryWeights,
                    spec: LayerSpec) -> np.ndarray:
     """Agreement counts pc[k, i, j] over each receptive field.
 
-    Weights hold only the d_eff channels of each output's band.
+    Weights hold only the d_eff channels of each output's band. The
+    +/-1 sums are one float64 matrix product per tap, batched over the
+    bands; every partial sum is an integer below 2**53, so they are
+    exact.
     """
     check_layer_inputs(x, w, spec)
-    xb = x.to_pm1().astype(np.int32)      # (nif, h_in, w_in)
-    wb = w.to_pm1().astype(np.int32)      # (nof, d_eff, fs, fs)
-    nof, fs = spec.nof, spec.fs
-    npg = nof // spec.groups              # output channels per band
-    s = np.zeros((nof, spec.h_out, spec.w_out), dtype=np.int64)
-    for g in range(spec.groups):
-        xs = xb[g * spec.d_eff:(g + 1) * spec.d_eff]
-        ws = wb[g * npg:(g + 1) * npg]
-        for fi in range(fs):
-            for fj in range(fs):
-                win = xs[:, fi:fi + spec.h_out, fj:fj + spec.w_out]
-                s[g * npg:(g + 1) * npg] += np.tensordot(
-                    ws[:, :, fi, fj], win, axes=([1], [0]))
-    return (s + spec.n_acc) // 2
+    g, d, fs = spec.groups, spec.d_eff, spec.fs
+    h, wo = spec.h_out, spec.w_out
+    xb = x.to_bits().reshape(g, d, spec.h_in, spec.w_in)
+    wb = w.to_bits().reshape(g, spec.nof // g, d, fs, fs)
+    s = np.zeros((g, spec.nof // g, h * wo))
+    for fi in range(fs):
+        for fj in range(fs):
+            win = xb[:, :, fi:fi + h, fj:fj + wo].reshape(g, d, h * wo)
+            s += (2.0 * wb[..., fi, fj] - 1.0) @ (2.0 * win - 1.0)
+    return (s.reshape(spec.nof, h, wo).astype(np.int64) + spec.n_acc) // 2
 
 
 def apply_thresholds(pc: np.ndarray, thr: ThresholdSpec) -> BinaryTensor:

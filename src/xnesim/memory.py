@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecodeError, RegionError, ShapeError
 
@@ -46,13 +47,17 @@ def default_memory_map() -> list[Region]:
 
 class Memory:
     """Byte-addressable backing store across the regions of
-    default_memory_map(), with per-region traffic counters. Access to
-    an unmapped address raises RegionError."""
+    default_memory_map(), with per-region traffic counters. A region's
+    buffer is allocated on its first write; bytes never written read as
+    zero. Access to an unmapped address raises RegionError.
+
+    gather/gather_words/scatter make many accesses in one call: each
+    access is checked and charged exactly as the one-at-a-time methods
+    would, and RegionError names the first access that fails."""
 
     def __init__(self):
         self.regions = {r.name: r for r in default_memory_map()}
-        self._buf = {r.name: np.zeros(r.size, dtype=np.uint8)
-                     for r in self.regions.values()}
+        self._buf: dict[str, np.ndarray] = {}
         self.traffic = {r.name: {"read_bits": 0, "write_bits": 0}
                         for r in self.regions.values()}
 
@@ -65,10 +70,17 @@ class Memory:
     def base(self, name: str) -> int:
         return self.regions[name].base
 
+    def _writable(self, r: Region) -> np.ndarray:
+        if r.name not in self._buf:
+            self._buf[r.name] = np.zeros(r.size, dtype=np.uint8)
+        return self._buf[r.name]
+
     def read(self, addr: int, nbytes: int) -> np.ndarray:
         r = self.region_of(addr, nbytes)
         off = addr - r.base
         self.traffic[r.name]["read_bits"] += 8 * nbytes
+        if r.name not in self._buf:
+            return np.zeros(nbytes, dtype=np.uint8)
         return self._buf[r.name][off:off + nbytes].copy()
 
     def write(self, addr: int, data) -> None:
@@ -76,7 +88,7 @@ class Memory:
         r = self.region_of(addr, len(data))
         off = addr - r.base
         self.traffic[r.name]["write_bits"] += 8 * len(data)
-        self._buf[r.name][off:off + len(data)] = data
+        self._writable(r)[off:off + len(data)] = data
 
     def read_words(self, addr: int, nwords: int) -> np.ndarray:
         if addr % 4:
@@ -87,6 +99,70 @@ class Memory:
         if addr % 4:
             raise RegionError(f"word access at unaligned {addr:#x}")
         self.write(addr, np.ascontiguousarray(words, "<u4").view(np.uint8))
+
+    def _locate(self, addrs: np.ndarray, nbytes: np.ndarray
+                ) -> list[tuple[Region, np.ndarray]]:
+        """Per region, the mask of the accesses [addr, addr + nbytes)
+        it holds; RegionError naming the first access none holds."""
+        found = np.zeros(len(addrs), dtype=bool)
+        out = []
+        for r in self.regions.values():
+            mine = (addrs >= r.base) & (addrs + nbytes <= r.base + r.size)
+            if mine.any():
+                out.append((r, mine))
+                found |= mine
+        if not found.all():
+            i = int(np.argmin(found))
+            raise RegionError(f"no region holds [{int(addrs[i]):#x}, "
+                              f"+{int(nbytes[i])})")
+        return out
+
+    def gather(self, addrs, nbytes: int) -> tuple[np.ndarray, np.ndarray]:
+        """read(a, nbytes) for every address a of addrs, fetching each
+        distinct address once: (rows, inverse), the distinct addresses'
+        bytes as a (k, nbytes) uint8 array and, per access, its row."""
+        addrs = np.asarray(addrs, dtype=np.int64)
+        located = self._locate(addrs, np.full(len(addrs), nbytes))
+        uniq, first, inverse = np.unique(addrs, return_index=True,
+                                         return_inverse=True)
+        rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
+        for r, mine in located:
+            self.traffic[r.name]["read_bits"] += (
+                8 * nbytes * int(np.count_nonzero(mine)))
+            if r.name in self._buf:
+                sel = mine[first]
+                rows[sel] = sliding_window_view(
+                    self._buf[r.name], nbytes)[uniq[sel] - r.base]
+        return rows, inverse
+
+    def gather_words(self, addrs, nwords: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """read_words(a, nwords) for every address a of addrs, as
+        gather() does: rows are (k, nwords) uint32."""
+        addrs = np.asarray(addrs, dtype=np.int64)
+        unaligned = np.flatnonzero(addrs % 4)
+        if len(unaligned):
+            raise RegionError(f"word access at unaligned "
+                              f"{int(addrs[unaligned[0]]):#x}")
+        rows, inverse = self.gather(addrs, 4 * nwords)
+        return rows.view("<u4").astype(np.uint32), inverse
+
+    def scatter(self, addrs, rows: np.ndarray, nbytes) -> None:
+        """write(addrs[i], rows[i, :nbytes[i]]) for every i, in order:
+        where two writes overlap, the later one's bytes stay."""
+        addrs = np.asarray(addrs, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.uint8)
+        nbytes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64),
+                                 addrs.shape)
+        keep = np.arange(rows.shape[1]) < nbytes[:, None]
+        for r, mine in self._locate(addrs, nbytes):
+            self.traffic[r.name]["write_bits"] += 8 * int(nbytes[mine].sum())
+            at = (addrs[mine] - r.base)[:, None] + np.arange(rows.shape[1])
+            # flattened in write order, reversed: a byte's first
+            # occurrence is its last write
+            at, vals = at[keep[mine]][::-1], rows[mine][keep[mine]][::-1]
+            at, last = np.unique(at, return_index=True)
+            self._writable(r)[at] = vals[last]
 
 
 # ---------------------------------------------------------------------------

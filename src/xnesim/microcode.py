@@ -222,8 +222,9 @@ def disassemble(data: bytes,
 
 
 def _expect(value, kind: type, what: str):
-    """value if it is a kind; UcodeSyntaxError naming *what* otherwise."""
-    if not isinstance(value, kind):
+    """value if it is a kind; UcodeSyntaxError naming *what* otherwise.
+    A YAML boolean is not an integer here, though Python's bool is."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         a_kind = {dict: "a mapping", list: "a list", int: "an integer"}[kind]
         raise UcodeSyntaxError(f"{what} must be {a_kind}, got {value!r}")
     return value
@@ -250,7 +251,8 @@ def parse_program(text: str) -> MicrocodeProgram:
         names[str(k)] = _expect(v, int, f"mnemonics {k!r}")
 
     def reg(tok) -> int:
-        idx = tok if isinstance(tok, int) else names.get(str(tok))
+        is_index = isinstance(tok, int) and not isinstance(tok, bool)
+        idx = tok if is_index else names.get(str(tok))
         if idx is None:
             raise UcodeSyntaxError(f"unknown register {tok!r}")
         if not 0 <= idx < N_REGS:
@@ -516,3 +518,68 @@ def offset_sequence(prog: MicrocodeProgram,
                     geom: JobGeometry) -> list[tuple[int, int, int]]:
     """All (W, x, y) bit offsets of one job, in issue order."""
     return UcodeState(prog, ucode_registers(geom)).run()
+
+
+# ---------------------------------------------------------------------------
+# Vectorised walk
+
+
+def _window_map(prog: MicrocodeProgram, lp: LoopSpec,
+                ro: np.ndarray) -> np.ndarray:
+    """The affine map one firing of a loop applies to the pointer
+    registers, as a 5x5 matrix on [W, x, y, x_major, 1] (mod 2^64,
+    hence exact mod 2^32)."""
+    m = np.eye(N_RW + 1, dtype=np.uint64)
+    for ins in prog.instructions[lp.base:lp.base + lp.count]:
+        if ins.src < N_RW:
+            src = m[ins.src].copy()
+        else:
+            src = np.zeros(N_RW + 1, dtype=np.uint64)
+            src[N_RW] = ro[ins.src - N_RW]
+        m[ins.dst] = m[ins.dst] + src if ins.op is Op.ADD else src
+    return m
+
+
+def _powers(q: np.ndarray, n: int) -> np.ndarray:
+    """q^0 .. q^(n-1), stacked, by doubling."""
+    out = np.empty((n,) + q.shape, dtype=np.uint64)
+    out[0] = np.eye(len(q), dtype=np.uint64)
+    have, step = 1, q
+    while have < n:
+        take = min(have, n - have)
+        out[have:have + take] = step @ out[:take]
+        have += take
+        step = step @ step
+    return out
+
+
+def walk_offsets(prog: MicrocodeProgram, ro_values: np.ndarray) -> np.ndarray:
+    """Every (W, x, y) offset UcodeState(prog, ro_values).run() emits,
+    as an (n, 3) int64 array, built without stepping.
+
+    A firing of loop k applies its window's affine map F_k. A whole run
+    of loops 0..k-1 started in state u ends in P_k(u), so successive
+    iterations of loop k start in u, Q_k(u), Q_k^2(u), ... with
+    Q_k = F_k P_k, and P_{k+1} = P_k Q_k^(r_k - 1). The stream is then
+    expanded from the outermost loop in: each start state becomes the
+    r_k start states of the next loop in.
+    """
+    prog.validate()
+    ro = np.asarray(ro_values, dtype=np.uint32)
+    if ro.shape != (N_RO,):
+        raise UcodeSyntaxError(f"need {N_RO} read-only values, "
+                               f"got shape {ro.shape}")
+    ranges = [int(ro[lp.range_reg - N_RW]) for lp in prog.loops]
+    if 0 in ranges:
+        return np.zeros((0, 3), dtype=np.int64)
+    p = np.eye(N_RW + 1, dtype=np.uint64)
+    qpow = []     # per loop, Q_k^0 .. Q_k^(r_k - 1)
+    for lp, r in zip(prog.loops, ranges):
+        qpow.append(_powers(_window_map(prog, lp, ro) @ p, r))
+        p = p @ qpow[-1][-1]
+    states = np.zeros((N_RW + 1, 1), dtype=np.uint64)
+    states[N_RW] = 1
+    for pw in reversed(qpow):
+        # (r, 5, 5) @ (5, n) -> (r, 5, n): iteration m of every outer state
+        states = (pw @ states).transpose(1, 2, 0).reshape(N_RW + 1, -1)
+    return (states[:3].T & np.uint64(MASK32)).astype(np.int64)

@@ -102,6 +102,16 @@ def test_verify_rejects_empty_sweep(layers, capsys):
     assert layers in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "layer", "--nif", "8", "--nof", "8", "--h", "1", "--w", "1"],
+    ["verify", "--layers", "1"],
+], ids=["run-layer", "verify"])
+def test_negative_seed_is_an_error(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_ucode_asm_bad_field(tmp_path, capsys):
     src = tmp_path / "p.yaml"
     src.write_text("code: [{op: add, dst: W}]\n")

@@ -5,7 +5,7 @@ from xnesim import engine
 from xnesim.engine import (ACC_MAX, Engine, EngineConfig, JobDescriptor,
                            decode_thresholds, encode_thresholds,
                            phase_schedule, run_single_job)
-from xnesim.errors import BusyError, PlanError, ShapeError
+from xnesim.errors import BusyError, PlanError, RegionError, ShapeError
 from xnesim.golden import (LayerSpec, ThresholdSpec, layer_golden,
                            random_layer_data)
 from xnesim.memory import Memory
@@ -168,6 +168,23 @@ def test_walk_schedule_disagreement_raises(monkeypatch):
     monkeypatch.setattr(engine, "phase_schedule", off_by_one)
     with pytest.raises(PlanError, match="8 accumulate cycles.* 9"):
         run_single_job(EngineConfig(tp=128), mem, job)
+
+
+def test_feature_walk_past_l1_raises():
+    # 16 pixels of one word each; each tp-bit read spans 4 of them, so
+    # the reads of the last 3 pixels run past the end of l1
+    spec = LayerSpec(nif=32, nof=8, fs=1, h_out=4, w_out=4)
+    rng = np.random.default_rng(4)
+    x, w = random_layer_data(rng, spec)
+    thr = random_threshold_spec(rng, spec)
+    mem = Memory()
+    l1_end = mem.base("l1") + mem.regions["l1"].size
+    x_base = l1_end - 4 * len(x.flat_words())
+    mem.write_words(x_base, x.flat_words())
+    desc = load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+                    mem.base("sram"), x_base, mem.base("l1"))
+    with pytest.raises(RegionError, match=f"{l1_end - 12:#x}, \\+16"):
+        run_single_job(EngineConfig(tp=128), mem, desc)
 
 
 def test_tp_mismatch_rejected():

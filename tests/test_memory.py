@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,53 @@ def test_unmapped_and_powered_off():
     with pytest.raises(RegionError):
         m.read(m.base("scm") + 8 * 1024 - 2, 4)  # straddles the end
     m.read(m.base("scm") + 8 * 1024 - 4, 4)   # ends exactly at the end
+
+
+def test_region_allocated_on_first_write():
+    tracemalloc.start()
+    try:
+        m = Memory()
+        hyper = m.base("hyperram")
+        assert m.read(hyper + 100, 4).tolist() == [0] * 4   # never written
+        untouched = tracemalloc.get_traced_memory()[1]
+        m.write(hyper, np.ones(4, dtype=np.uint8))
+        written = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert untouched < (1 << 20) and written >= 8 << 20
+    assert m.read(hyper, 8).tolist() == [1] * 4 + [0] * 4
+    assert m.traffic["hyperram"] == {"read_bits": 96, "write_bits": 32}
+
+
+def test_gather_and_scatter_equal_single_accesses():
+    # overlapping writes of mixed lengths land in order, and reads of
+    # never-written bytes see zeros; data and traffic match one call
+    # per access
+    rng = np.random.default_rng(0)
+    many, one = Memory(), Memory()
+    addrs = many.base("sram") + 4 * rng.integers(0, 64, 40)
+    rows = rng.integers(0, 256, (40, 12), dtype=np.uint8)
+    nbytes = rng.integers(1, 13, 40)
+    many.scatter(addrs, rows, nbytes)
+    for a, r, n in zip(addrs.tolist(), rows, nbytes.tolist()):
+        one.write(a, r[:n])
+    reads = np.append(addrs, many.base("sram") + 1024)
+    got, inverse = many.gather_words(reads, 3)
+    assert len(got) < len(reads)            # each address fetched once
+    assert np.array_equal(got[inverse],
+                          [one.read_words(a, 3) for a in reads.tolist()])
+    assert many.traffic == one.traffic
+
+
+def test_gather_and_scatter_name_the_first_bad_access():
+    m = Memory()
+    scm, end = m.base("scm"), m.base("scm") + m.regions["scm"].size
+    with pytest.raises(RegionError, match=f"{end - 4:#x}, \\+8"):
+        m.gather([scm, end - 4, 0x0], 8)
+    with pytest.raises(RegionError, match=f"unaligned {scm + 2:#x}"):
+        m.gather_words([scm, scm + 2], 1)
+    with pytest.raises(RegionError, match=f"{end - 2:#x}, \\+3"):
+        m.scatter([scm, end - 2], np.zeros((2, 4), dtype=np.uint8), [4, 3])
 
 
 @given(st.integers(0, 3), st.integers(0, 97), st.data())

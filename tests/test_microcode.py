@@ -9,7 +9,7 @@ from xnesim.microcode import (BITSTREAM_LEN, JobGeometry, LoopSpec,
                               UcodeState, disassemble, offset_sequence,
                               parse_program, program_to_yaml,
                               reference_program, reference_range_regs,
-                              ucode_registers)
+                              ucode_registers, walk_offsets)
 
 MASK32 = 0xFFFFFFFF
 
@@ -220,6 +220,8 @@ def test_reference_walk_matches_oracle(g):
     want = oracle_offsets(g)
     assert len(seq) == g.iterations
     assert seq == want
+    assert walk_offsets(reference_program(), ucode_registers(g)).tolist() \
+        == [list(t) for t in want]
 
 
 def test_interpreter_counts_cycles():
@@ -240,6 +242,41 @@ def test_interpreter_counts_cycles():
         prev = cur
     counts = [2, 2, 3, 4, 4, 4]
     assert st_.cycles == sum(f * c for f, c in zip(fires, counts))
+
+
+@st.composite
+def walk_case(draw):
+    """A program of 0..6 loops over random windows (gaps allowed) of
+    random MV/ADD rows, and read-only values anywhere in 32 bits, often
+    within 100 of 2^32, except the trip counts: 0, 1 or a few."""
+    windows, pos = [], 0
+    for _ in range(draw(st.integers(0, mc.MAX_LOOPS))):
+        base = pos + draw(st.integers(0, 1))
+        count = draw(st.integers(1, 3))
+        if base > 0xF or base + count > mc.MAX_INSTRUCTIONS:
+            break
+        windows.append((base, count))
+        pos = base + count
+    n_ins = min(pos + draw(st.integers(0, 2)), mc.MAX_INSTRUCTIONS)
+    ins = [draw(rand_instr) for _ in range(n_ins)]
+    ro = draw(st.lists(st.one_of(st.integers(0, MASK32),
+                                 st.integers(MASK32 - 99, MASK32)),
+                       min_size=mc.N_RO, max_size=mc.N_RO))
+    loops = []
+    for base, count in windows:
+        reg = draw(st.integers(mc.N_RW, mc.N_REGS - 1))
+        ro[reg - mc.N_RW] = draw(st.integers(0, 3))
+        loops.append(LoopSpec(base, count, reg))
+    return MicrocodeProgram(ins, loops), np.array(ro, dtype=np.uint32)
+
+
+@given(walk_case())
+@settings(max_examples=200, deadline=None)
+def test_walk_offsets_equal_stepper(case):
+    prog, ro = case
+    got = walk_offsets(prog, ro)
+    assert got.shape[1:] == (3,)
+    assert got.tolist() == [list(t) for t in UcodeState(prog, ro).run()]
 
 
 def test_yaml_roundtrip_of_reference():
@@ -278,8 +315,11 @@ def test_yaml_parse_errors():
     ("code: [{name: i0, op: add, dst: W, src: tp}]\n"
      "loops: [{range: nif, instructions: i0}]\n",
      r"loops\[0\] instructions must be a list, got 'i0'"),
+    ("mnemonics: {a: true}\ncode: [{op: add, dst: a, src: tp}]\n",
+     r"mnemonics 'a' must be an integer, got True"),
+    ("code: [{op: add, dst: true, src: tp}]\n", r"unknown register True"),
 ], ids=["code-not-list", "row-not-mapping", "mnemonics-not-mapping",
-        "missing-src", "loop-body-not-list"])
+        "missing-src", "loop-body-not-list", "bool-mnemonic", "bool-dst"])
 def test_yaml_malformed_fields(text, problem):
     with pytest.raises(UcodeSyntaxError, match=problem):
         parse_program(text)

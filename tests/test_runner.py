@@ -182,15 +182,50 @@ def test_load_job_capacity():
                      w_base, mem.base("l1"), mem.base("l1"))
 
 
+# per job: (kin_tiles, valid lanes per output tile)
+TRAFFIC_CASES = {
+    "dense": (LayerSpec(nif=64, nof=64, fs=3, h_out=2, w_out=2),
+              [(1, [64])]),
+    "folded-band": (LayerSpec(nif=96, nof=96, fs=3, h_out=2, w_out=3, d=1),
+                    [(1, [96])]),
+    "per-band": (LayerSpec(nif=256, nof=512, fs=1, h_out=2, w_out=2, d=128),
+                 [(1, [128, 128]), (1, [128, 128])]),
+    "remainder-lanes": (LayerSpec(nif=300, nof=140, fs=1, h_out=2, w_out=2),
+                        [(3, [128, 12])]),
+}
+
+
 def test_execute_layer_traffic_counted():
-    spec = LayerSpec(nif=64, nof=64, fs=3, h_out=2, w_out=2)
+    # l1 holds the input and output images: the input is written once,
+    # every step reads one tp-bit feature vector, every tile writes the
+    # bytes of its valid lanes, and the output is read back once. sram
+    # holds each job's weight stream and threshold bytes: every step
+    # reads one tp x tp block, every tile reads tp threshold bytes.
+    for name, (spec, jobs) in TRAFFIC_CASES.items():
+        _check_traffic(name, spec, jobs)
+
+
+def _check_traffic(name, spec, jobs):
     rng = np.random.default_rng(6)
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
     mem = Memory()
     execute_layer(CFG, spec, x, w, thr, mem=mem)
-    assert mem.traffic["sram"]["read_bits"] > 0
-    assert mem.traffic["l1"]["write_bits"] > 0
+    tp, pixels = 128, spec.h_out * spec.w_out
+    l1_r = 32 * -(-spec.nof // 32) * pixels
+    l1_w = 32 * -(-spec.nif // 32) * spec.h_in * spec.w_in
+    sram_r = sram_w = 0
+    for kin, valid in jobs:
+        steps = pixels * len(valid) * spec.fs ** 2 * kin
+        l1_r += steps * tp
+        l1_w += pixels * sum(8 * -(-v // 8) for v in valid)
+        sram_r += steps * tp * tp + pixels * len(valid) * 8 * tp
+        sram_w += len(valid) * (spec.fs ** 2 * kin * tp * tp + 8 * tp)
+    assert mem.traffic == {
+        "l1": {"read_bits": l1_r, "write_bits": l1_w},
+        "scm": {"read_bits": 0, "write_bits": 0},
+        "sram": {"read_bits": sram_r, "write_bits": sram_w},
+        "hyperram": {"read_bits": 0, "write_bits": 0}}, name
 
 
 # --- analytic network runs ----------------------------------------------
