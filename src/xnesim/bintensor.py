@@ -82,7 +82,7 @@ class BinaryTensor:
     c: int
     h: int
     w: int
-    words: np.ndarray = field(default=None)  # (h, w, words_per_pixel)
+    words: np.ndarray = field(default=None)  # (h, w, words_for_bits(c))
 
     @staticmethod
     def _payload_shape(c: int, h: int, w: int) -> tuple:
@@ -93,10 +93,6 @@ class BinaryTensor:
             _check_dim(n, v)
         self.words = _payload(self.words,
                               self._payload_shape(self.c, self.h, self.w))
-
-    @property
-    def words_per_pixel(self) -> int:
-        return words_for_bits(self.c)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BinaryTensor":
@@ -117,7 +113,7 @@ class BinaryTensor:
         return self.to_bits().astype(np.int64) * 2 - 1
 
     def flat_words(self) -> np.ndarray:
-        """Row-major stream: pixel stride words_per_pixel, row stride w*that."""
+        """Row-major stream: pixel stride words_for_bits(c), row stride w*that."""
         return self.words.reshape(-1)
 
     def save(self, path) -> None:
@@ -137,7 +133,7 @@ class BinaryWeights:
     nof: int
     nif: int
     fs: int
-    words: np.ndarray = field(default=None)  # (nof, fs, fs, words_per_tap)
+    words: np.ndarray = field(default=None)  # (nof, fs, fs, words_for_bits(nif))
 
     @staticmethod
     def _payload_shape(nof: int, nif: int, fs: int) -> tuple:
@@ -148,10 +144,6 @@ class BinaryWeights:
             _check_dim(n, v)
         self.words = _payload(self.words,
                               self._payload_shape(self.nof, self.nif, self.fs))
-
-    @property
-    def words_per_tap(self) -> int:
-        return words_for_bits(self.nif)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "BinaryWeights":

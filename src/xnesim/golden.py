@@ -188,22 +188,34 @@ def round_half_up_shift(val: int, shift: int) -> int:
     return (int(val) + (1 << (shift - 1))) >> shift
 
 
+# |tau_pc| past this rounds outside 7 bits at every shift: clipping to it
+# changes no quantized value and keeps the int64 sums from wrapping
+_TAU_PC_CLIP = (TAU_Q_MAX + 1) << (SHIFT_MAX + 1)
+
+
+def _round_shift(tau_pc: np.ndarray, shift) -> np.ndarray:
+    """round_half_up_shift of every tau_pc; shift may be an array that
+    broadcasts against tau_pc."""
+    t = np.clip(np.asarray(tau_pc, dtype=np.int64), -_TAU_PC_CLIP, _TAU_PC_CLIP)
+    return (t + ((1 << shift) >> 1)) >> shift
+
+
 def quantize_thresholds(tau_pc: np.ndarray, lambda_positive: np.ndarray,
                         shift: int) -> ThresholdSpec:
-    q = np.array([round_half_up_shift(int(t), shift) for t in tau_pc],
-                 dtype=np.int64)
-    q = np.clip(q, TAU_Q_MIN, TAU_Q_MAX).astype(np.int32)
-    return ThresholdSpec(q, np.asarray(lambda_positive, dtype=bool), shift)
+    if not 0 <= shift <= SHIFT_MAX:     # before shifting int64 by it
+        raise ShapeError(f"shift outside [0, {SHIFT_MAX}]")
+    q = np.clip(_round_shift(tau_pc, shift), TAU_Q_MIN, TAU_Q_MAX)
+    return ThresholdSpec(q.astype(np.int32),
+                         np.asarray(lambda_positive, dtype=bool), shift)
 
 
 def choose_shift(tau_pc: np.ndarray) -> int:
     """Smallest shift whose rounded thresholds all fit in 7 signed bits."""
-    for s in range(SHIFT_MAX + 1):
-        ok = all(TAU_Q_MIN <= round_half_up_shift(int(t), s) <= TAU_Q_MAX
-                 for t in tau_pc)
-        if ok:
-            return s
-    raise PlanError("thresholds do not fit 7 bits at any supported shift")
+    q = _round_shift(tau_pc, np.arange(SHIFT_MAX + 1, dtype=np.int64)[:, None])
+    ok = np.all((q >= TAU_Q_MIN) & (q <= TAU_Q_MAX), axis=1)
+    if not ok.any():
+        raise PlanError("thresholds do not fit 7 bits at any supported shift")
+    return int(np.argmax(ok))
 
 
 def derive_thresholds(bn: BatchNormParams, spec: LayerSpec,

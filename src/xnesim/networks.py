@@ -54,7 +54,6 @@ class NetLayer:
 @dataclass
 class NetworkDescriptor:
     name: str
-    input_shape: tuple[int, int, int]
     layers: list[NetLayer] = field(default_factory=list)
 
     @property
@@ -96,7 +95,7 @@ def make_resnet(depth: int) -> NetworkDescriptor:
         blocks = [3, 4, 6, 3]
     else:
         raise ShapeError(f"resnet depth {depth} is not 18 or 34")
-    net = NetworkDescriptor(f"resnet{depth}", (3, 224, 224))
+    net = NetworkDescriptor(f"resnet{depth}")
     net.layers.append(NetLayer(
         "conv1", LayerSpec(nif=147, nof=64, fs=1, h_out=112, w_out=112),
         pools=("max2",), im2col=True))
@@ -137,7 +136,7 @@ def make_mvgg(groups: int | str) -> NetworkDescriptor:
             raise ShapeError("group count must be a power of two")
         gcap = groups
     name = "mvgg-f" if full else f"mvgg-{groups}"
-    net = NetworkDescriptor(name, (3, 32, 32))
+    net = NetworkDescriptor(name)
     sizes = [32, 32, 16, 16, 8, 8]
     c_in = 3
     for i, (c, hw) in enumerate(zip(MVGG_CHANNELS, sizes), start=1):

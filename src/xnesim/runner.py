@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .bintensor import BinaryTensor, BinaryWeights
-from .bits import pack_bits, words_for_bits
+from .bits import pack_bits, unpack_bits, words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
 from .errors import CapacityError, PlanError, ShapeError
@@ -126,20 +127,30 @@ def weight_stream_words(job: JobPlan, spec: LayerSpec,
     (k_out tile, fi, fj, k_in tile) order. Bit b of lane L in block
     (ko, fi, fj, ki) is the weight of channel ch_base + ko*tp + L at
     band position ki*tp + b - (L // npg) * d_eff, zero outside
-    job.support()."""
+    job.support().
+
+    One pass for every kind of job: a zero bit array laid out as
+    (fi, fj, output lane, walked span position) receives each lane's
+    d_eff weights at its band start, then packs in one call and is
+    reordered into blocks."""
     g = job.geom
-    wt = w.to_bits().transpose(2, 3, 0, 1)          # (fs, fs, nof, d_eff)
-    sup = job.support()
-    lane = np.arange(g.tp)[:, None]
-    out = np.empty((g.kout_tiles, g.fs, g.fs, g.kin_tiles, g.tp, g.tp // 32),
-                   dtype=np.uint32)
-    for ki in range(g.kin_tiles):
-        pos = ki * g.tp + lane.T - (lane // job.npg) * job.d_eff
-        pos = np.clip(pos, 0, job.d_eff - 1)
-        for ko in range(g.kout_tiles):
-            ch = np.minimum(job.ch_base + ko * g.tp + lane, w.nof - 1)
-            out[ko, :, :, ki] = pack_bits(wt[:, :, ch, pos] & sup[ko, ki])
-    return out.reshape(-1)
+    tp, npg, d = g.tp, job.npg, job.d_eff
+    cols = g.kin_tiles * tp
+    lanes = np.flatnonzero(np.arange(tp) < job.valid_out[:, None])
+    rows = np.zeros((g.kout_tiles * tp,) + w.words.shape[1:], dtype=np.uint32)
+    rows[lanes] = w.words[job.ch_base + lanes]      # invalid lanes stay zero
+    bits = np.zeros((g.fs, g.fs, g.kout_tiles * tp, cols), dtype=np.uint8)
+    # Lane ko*tp + q*npg + r starts its band at column q*d, an affine
+    # function of (ko, q, r), so all bands are one strided view. Bands
+    # end by column (tp // npg) * d <= cols: the view stays in the
+    # array, and no two of its elements share an address.
+    bands = as_strided(bits, (g.kout_tiles, tp // npg, npg, g.fs, g.fs, d),
+                       (tp * cols, npg * cols + d, cols) + bits.strides[:2]
+                       + (1,))
+    bands[...] = unpack_bits(rows, d).reshape(bands.shape)
+    words = pack_bits(bits.reshape(g.fs, g.fs, g.kout_tiles, tp,
+                                   g.kin_tiles, tp))
+    return words.transpose(2, 0, 1, 4, 3, 5).reshape(-1)
 
 
 def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
@@ -160,16 +171,17 @@ def load_job(mem: Memory, job: JobPlan, spec: LayerSpec, w: BinaryWeights,
     right after it, and return the descriptor that offloads the job.
     x_base and y_base are the layer's input and output images; the
     job's bit offsets into them are added here. CapacityError when the
-    region holding w_base cannot hold stream and thresholds."""
-    stream = weight_stream_words(job, spec, w)
-    thr_bytes = threshold_stream_bytes(job, thr)
+    region holding w_base cannot hold stream and thresholds; both sizes
+    are closed-form, so a job that cannot fit builds nothing."""
+    g = job.geom
+    stream_bytes = g.kout_tiles * g.fs * g.fs * g.kin_tiles * g.tp * g.tp // 8
     region = mem.region_of(w_base, 0)
-    if not region.contains(w_base, 4 * len(stream) + len(thr_bytes)):
+    if not region.contains(w_base, stream_bytes + g.kout_tiles * g.tp):
         raise CapacityError(f"weight stream and thresholds exceed "
                             f"the {region.name} region")
-    thr_base = w_base + 4 * len(stream)
-    mem.write_words(w_base, stream)
-    mem.write(thr_base, thr_bytes)
+    thr_base = w_base + stream_bytes
+    mem.write_words(w_base, weight_stream_words(job, spec, w))
+    mem.write(thr_base, threshold_stream_bytes(job, thr))
     return JobDescriptor(
         geom=job.geom, w_base=w_base,
         x_base=x_base + job.x_bit_offset // 8,

@@ -36,7 +36,7 @@ def test_tensor_pixel_padding_is_zero():
 
 
 def test_flat_words_strides():
-    # row-major pixel order: (i, j) at word (i*w + j) * words_per_pixel
+    # row-major pixel order: (i, j) at word (i*w + j) * words_for_bits(c)
     bits = np.zeros((1, 2, 3), dtype=np.uint8)
     bits[0, 1, 2] = 1
     flat = BinaryTensor.from_bits(bits).flat_words()

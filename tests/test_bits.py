@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,18 +29,30 @@ def test_pack_pad_bits_are_zero():
     assert words[1] == 1  # bits 33..63 stay zero
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 70),
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(1, 70),
+       st.sampled_from([np.uint8, np.bool_]), st.booleans(),
        st.randoms(use_true_random=False))
-@settings(max_examples=60)
-def test_pack_unpack_last_axis_equals_per_vector(a, b, n, rnd):
-    arr = np.array([[[rnd.randint(0, 1) for _ in range(n)]
-                     for _ in range(b)] for _ in range(a)], dtype=np.uint8)
+@settings(max_examples=80)
+def test_pack_unpack_last_axis_equals_per_vector(lead, n, dtype, strided,
+                                                 rnd):
+    # ranks 1-4, bool or uint8, optionally a transposed (strided) view;
+    # each word must equal sum(bit << i) over its 32 bits of the vector
+    shape = tuple(lead) + (n,)
+    arr = np.array([rnd.randint(0, 1) for _ in range(math.prod(shape))],
+                   dtype=dtype).reshape(shape)
+    if strided:
+        arr = np.moveaxis(np.ascontiguousarray(np.moveaxis(arr, -1, 0)), 0, -1)
     words = bits.pack_bits(arr)
-    assert words.shape == (a, b, bits.words_for_bits(n))
-    for i in range(a):
-        for j in range(b):
-            assert np.array_equal(words[i, j], bits.pack_bits(arr[i, j]))
-    assert np.array_equal(bits.unpack_bits(words, n), arr)
+    nw = bits.words_for_bits(n)
+    assert words.dtype == np.uint32 and words.shape == shape[:-1] + (nw,)
+    for idx in np.ndindex(*shape[:-1]):
+        vec = [int(b) for b in arr[idx]]
+        want = [sum(b << i for i, b in enumerate(vec[32 * k:32 * k + 32]))
+                for k in range(nw)]
+        assert words[idx].tolist() == want
+    if n % 32:  # bits past n in the last word stay zero
+        assert not np.any(words[..., -1] >> np.uint32(n % 32))
+    assert np.array_equal(bits.unpack_bits(words, n), arr.astype(np.uint8))
 
 
 def test_unpack_rejects_more_bits_than_stored():

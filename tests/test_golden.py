@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xnesim import golden
 from xnesim.bintensor import BinaryTensor, BinaryWeights
-from xnesim.errors import DegenerateBatchNorm, ShapeError
+from xnesim.errors import DegenerateBatchNorm, PlanError, ShapeError
 from xnesim.golden import (BatchNormParams, LayerSpec, ThresholdSpec,
                            choose_shift, conv_popcounts, derive_thresholds,
                            layer_golden, majority_avgpool, or_maxpool,
@@ -122,6 +122,9 @@ def test_quantize_clamps_to_7_bits():
                               np.array([True, False, True]), 2)
     assert thr.tau_q.tolist() == [63, -64, 1]
     assert thr.effective_tau().tolist() == [252, -256, 4]
+    for shift in (-1, golden.SHIFT_MAX + 1, 64):
+        with pytest.raises(ShapeError, match="shift outside"):
+            quantize_thresholds(np.array([1]), np.array([True]), shift)
 
 
 def test_choose_shift_minimal():
@@ -132,6 +135,32 @@ def test_choose_shift_minimal():
     assert choose_shift(np.array([127])) == 2
     assert choose_shift(np.array([126])) == 1   # 63, in range
     assert choose_shift(np.array([1150])) == 5  # 36
+
+
+I64 = np.iinfo(np.int64)
+
+
+@given(st.lists(st.one_of(st.integers(-200, 200),
+                          st.integers(-2**23, 2**23),
+                          st.integers(I64.min, I64.max),
+                          st.sampled_from([I64.min, I64.max])),
+                min_size=1, max_size=12))
+def test_vector_shift_matches_scalar(vals):
+    # quantize_thresholds/choose_shift round whole arrays at once; the
+    # scalar round_half_up_shift on Python ints is the reference
+    tau_pc = np.array(vals, dtype=np.int64)
+    lam = np.ones(len(vals), dtype=bool)
+    fits = []
+    for s in range(golden.SHIFT_MAX + 1):
+        q = [round_half_up_shift(v, s) for v in vals]
+        want = [min(max(v, golden.TAU_Q_MIN), golden.TAU_Q_MAX) for v in q]
+        assert quantize_thresholds(tau_pc, lam, s).tau_q.tolist() == want
+        fits.append(all(golden.TAU_Q_MIN <= v <= golden.TAU_Q_MAX for v in q))
+    if any(fits):
+        assert choose_shift(tau_pc) == fits.index(True)
+    else:
+        with pytest.raises(PlanError):
+            choose_shift(tau_pc)
 
 
 def test_threshold_spec_validation():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xnesim.bintensor import BinaryTensor, BinaryWeights
-from xnesim.engine import EngineConfig
+from xnesim.engine import VALID_TPS, EngineConfig
 from xnesim.errors import CapacityError, PlanError, ShapeError
 from xnesim.golden import LayerSpec, random_layer_data
 from xnesim.memory import CoefficientSet, Memory
@@ -88,37 +90,51 @@ def test_masks_against_bit_oracle(spec):
                 assert np.array_equal(bits[ko, ki], want), (spec, ko, ki)
 
 
-@pytest.mark.parametrize("spec", [
-    LayerSpec(nif=120, nof=40, fs=3, h_out=1, w_out=1, d=6),
-    LayerSpec(nif=150, nof=70, fs=3, h_out=1, w_out=1),
-    LayerSpec(nif=144, nof=24, fs=1, h_out=1, w_out=1, d=6),
-], ids=["banded", "dense", "split-bands"])
+STREAM_SPECS = {
+    "banded": LayerSpec(nif=120, nof=40, fs=3, h_out=1, w_out=1, d=6),
+    "dense": LayerSpec(nif=150, nof=70, fs=3, h_out=1, w_out=1),
+    "split-bands": LayerSpec(nif=144, nof=24, fs=1, h_out=1, w_out=1, d=6),
+    "remainder-lanes": LayerSpec(nif=300, nof=140, fs=1, h_out=1, w_out=1),
+    # per-band jobs below TP 256, one folded job at 256 and 512
+    "per-band": LayerSpec(nif=256, nof=512, fs=1, h_out=1, w_out=1, d=128),
+    # 96 outputs per band never fold: per-band jobs with remainder lanes
+    "per-band-remainder": LayerSpec(nif=64, nof=192, fs=3, h_out=1, w_out=1,
+                                    d=32),
+}
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS.values(), ids=STREAM_SPECS)
 def test_weight_stream_against_bit_oracle(spec):
     # lane vector bit b of block (ko, ui, uj, ki) carries the weight of
-    # channel ko*tp+L at band position ki*tp + b - band_lo, zero outside
+    # channel ch_base+ko*tp+L at band position ki*tp + b - band_lo, zero
+    # outside; every job at every TP
     rng = np.random.default_rng(5)
     _, w = random_layer_data(rng, spec)
-    job = plan_layer(spec, 128).jobs[0]
-    g = job.geom
-    stream = weight_stream_words(job, spec, w)
-    bits = np.unpackbits(stream.view("<u4").view(np.uint8),
-                         bitorder="little").reshape(
-        g.kout_tiles, g.fs, g.fs, g.kin_tiles, g.tp, g.tp)
     wb = w.to_bits()    # (nof, d_eff, fs, fs)
-    lane = np.arange(g.tp)[:, None]
-    band_lo = (lane // job.npg) * job.d_eff
-    col = np.arange(g.tp)[None, :]
-    for ko in range(g.kout_tiles):
-        ch = np.minimum(job.ch_base + ko * g.tp + lane, spec.nof - 1)
-        for ki in range(g.kin_tiles):
-            pos = ki * g.tp + col - band_lo
-            ok = ((lane < int(job.valid_out[ko]))
-                  & (pos >= 0) & (pos < job.d_eff))
-            posc = np.clip(pos, 0, spec.d_eff - 1)
-            for ui in range(g.fs):
-                for uj in range(g.fs):
-                    want = np.where(ok, wb[ch, posc, ui, uj], 0)
-                    assert np.array_equal(bits[ko, ui, uj, ki], want)
+    for job in (j for tp in VALID_TPS for j in plan_layer(spec, tp).jobs):
+        g = job.geom
+        stream = weight_stream_words(job, spec, w)
+        assert stream.dtype == np.uint32
+        assert len(stream) == (g.kout_tiles * g.fs * g.fs * g.kin_tiles
+                               * g.tp * g.tp // 32)
+        bits = np.unpackbits(stream.view(np.uint8),
+                             bitorder="little").reshape(
+            g.kout_tiles, g.fs, g.fs, g.kin_tiles, g.tp, g.tp)
+        lane = np.arange(g.tp)[:, None]
+        band_lo = (lane // job.npg) * job.d_eff
+        col = np.arange(g.tp)[None, :]
+        for ko in range(g.kout_tiles):
+            ch = np.minimum(job.ch_base + ko * g.tp + lane, spec.nof - 1)
+            for ki in range(g.kin_tiles):
+                pos = ki * g.tp + col - band_lo
+                ok = ((lane < int(job.valid_out[ko]))
+                      & (pos >= 0) & (pos < job.d_eff))
+                posc = np.clip(pos, 0, spec.d_eff - 1)
+                for ui in range(g.fs):
+                    for uj in range(g.fs):
+                        want = np.where(ok, wb[ch, posc, ui, uj], 0)
+                        assert np.array_equal(bits[ko, ui, uj, ki], want), \
+                            (g.tp, job.ch_base, ko, ui, uj, ki)
 
 
 def test_threshold_stream_padding():
@@ -177,9 +193,17 @@ def test_load_job_capacity():
         rng = np.random.default_rng(7)
         _, w = random_layer_data(rng, spec)
         thr = random_threshold_spec(rng, spec)
-        with pytest.raises(CapacityError, match="sram"):
-            load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
-                     w_base, mem.base("l1"), mem.base("l1"))
+        job = plan_layer(spec, 128).jobs[0]
+        # the size is known in closed form: nothing is built to fail
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="sram"):
+                load_job(mem, job, spec, w, thr, w_base, mem.base("l1"),
+                         mem.base("l1"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # per job: (kin_tiles, valid lanes per output tile)
@@ -239,7 +263,7 @@ def test_run_network_fit_rejections():
 
 
 def test_check_fit_activation_budget():
-    big = NetworkDescriptor("big", (512, 96, 96), [NetLayer(
+    big = NetworkDescriptor("big", [NetLayer(
         "conv", LayerSpec(nif=512, nof=512, fs=3, h_out=96, w_out=96))])
     with pytest.raises(CapacityError):
         check_fit(big, "hyperram")
