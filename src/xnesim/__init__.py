@@ -3,9 +3,9 @@ convolution engine, its microcoded address generator, streamer and
 memory system, plus network-level workload runs."""
 
 from .bintensor import BinaryTensor, BinaryWeights
-from .errors import (BusyError, CapacityError, DecodeError,
-                     DegenerateBatchNorm, PlanError, RegionError, ShapeError,
-                     UcodeSyntaxError, XneError)
+from .errors import (CapacityError, DecodeError, DegenerateBatchNorm,
+                     PlanError, RegionError, ShapeError, UcodeSyntaxError,
+                     XneError)
 from .golden import (BatchNormParams, LayerSpec, ThresholdSpec,
                      derive_thresholds, layer_golden, real_reference)
 from .microcode import (JobGeometry, MicrocodeProgram, disassemble,

@@ -25,21 +25,19 @@ in bits 6..0 and the comparison direction in bit 7 (set = negative
 batch-norm scale, compare acc <= tau). The job's shift scales tau back
 to the popcount domain.
 
-Two job register sets are double buffered; offloading a third while
-both are pending is an error. Cycle counts use fixed per-phase
-constants (stream setup, inter-phase gap, job overhead) calibrated so
-a TP=128, 128x128x3x3 layer sustains ~218 ops/cycle.
+Cycle counts use fixed per-phase constants (stream setup, inter-phase
+gap, job overhead) calibrated so a TP=128, 128x128x3x3 layer sustains
+~218 ops/cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import pack_bits, unpack_bits
-from .errors import BusyError, PlanError, ShapeError
+from .errors import PlanError, ShapeError
 from .golden import SHIFT_MAX, ThresholdSpec
 from .memory import Memory
 from .microcode import (JobGeometry, reference_program, ucode_registers,
@@ -164,27 +162,12 @@ class Engine:
         self.cfg = cfg
         self.mem = mem
         self.program = reference_program()
-        self._pending: deque[JobDescriptor] = deque()
 
-    @property
-    def busy(self) -> bool:
-        return len(self._pending) >= 2
-
-    def submit(self, job: JobDescriptor) -> None:
-        """Offload into one of the two job register sets."""
-        if self.busy:
-            raise BusyError("both job register sets are occupied")
+    def run_next(self, job: JobDescriptor) -> JobResult:
+        """Offload *job* and run it to completion."""
         if job.geom.tp != self.cfg.tp:
             raise PlanError(f"job wants tp={job.geom.tp}, "
                             f"engine is tp={self.cfg.tp}")
-        self._pending.append(job)
-
-    def run_next(self) -> JobResult | None:
-        if not self._pending:
-            return None
-        return self._execute(self._pending.popleft())
-
-    def _execute(self, job: JobDescriptor) -> JobResult:
         g = job.geom
         tp = g.tp
         mem = self.mem
@@ -268,6 +251,4 @@ class Engine:
 
 def run_single_job(cfg: EngineConfig, mem: Memory,
                    job: JobDescriptor) -> JobResult:
-    eng = Engine(cfg, mem)
-    eng.submit(job)
-    return eng.run_next()
+    return Engine(cfg, mem).run_next(job)

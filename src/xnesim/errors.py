@@ -18,12 +18,7 @@ class UcodeSyntaxError(XneError):
 
 
 class DecodeError(XneError):
-    """An input (tensor file, bitstream, coefficient YAML) is malformed
-    or holds a value out of range."""
-
-
-class BusyError(XneError):
-    """A job was offloaded while both register sets were occupied."""
+    """The coefficient YAML is malformed or holds a value out of range."""
 
 
 class RegionError(XneError):

@@ -96,11 +96,6 @@ class LayerSpec:
         """xnor+popcount counted as 2 ops per accumulated bit."""
         return 2 * self.macs
 
-    def band_start(self, k_out: int) -> int:
-        """First input channel feeding output channel k_out."""
-        g = k_out // (self.nof // self.groups)
-        return g * self.d_eff
-
 
 @dataclass
 class BatchNormParams:

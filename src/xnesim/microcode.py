@@ -202,8 +202,9 @@ def disassemble(data: bytes,
                 raise UcodeSyntaxError(
                     f"loop slot {i} has a base but zero count")
             continue
-        if loops and len(loops) != i:
-            raise UcodeSyntaxError("active loop slots must be contiguous")
+        if len(loops) != i:
+            raise UcodeSyntaxError(
+                "active loop slots must be contiguous from slot 0")
         rr = RO_NAMES["zero"]
         if range_regs is not None and i < len(range_regs):
             rr = range_regs[i]

@@ -165,7 +165,8 @@ def get_network(name: str) -> NetworkDescriptor:
         return make_resnet(18)
     if n in ("resnet34", "resnet-34"):
         return make_resnet(34)
-    if n.startswith("mvgg-"):
-        tag = n.split("-", 1)[1]
-        return make_mvgg(tag if tag == "f" else int(tag))
+    if n == "mvgg-f":
+        return make_mvgg("f")
+    if n.startswith("mvgg-") and n[5:].isdecimal():
+        return make_mvgg(int(n[5:]))
     raise ShapeError(f"unknown network {name!r}")

@@ -77,6 +77,12 @@ class JobPlan:
     def masks(self) -> np.ndarray:
         return pack_bits(self.support())
 
+    def valid_lanes(self) -> np.ndarray:
+        """Flat lane indices ko*tp + L with L < valid_out[ko]: lane i
+        drives output channel ch_base + i."""
+        return np.flatnonzero(np.arange(self.geom.tp)
+                              < self.valid_out[:, None])
+
 
 @dataclass
 class LayerPlan:
@@ -136,7 +142,7 @@ def weight_stream_words(job: JobPlan, spec: LayerSpec,
     g = job.geom
     tp, npg, d = g.tp, job.npg, job.d_eff
     cols = g.kin_tiles * tp
-    lanes = np.flatnonzero(np.arange(tp) < job.valid_out[:, None])
+    lanes = job.valid_lanes()
     rows = np.zeros((g.kout_tiles * tp,) + w.words.shape[1:], dtype=np.uint32)
     rows[lanes] = w.words[job.ch_base + lanes]      # invalid lanes stay zero
     bits = np.zeros((g.fs, g.fs, g.kout_tiles * tp, cols), dtype=np.uint8)
@@ -154,13 +160,10 @@ def weight_stream_words(job: JobPlan, spec: LayerSpec,
 
 
 def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
-    g = job.geom
-    enc = encode_thresholds(thr)
-    out = np.zeros(g.kout_tiles * g.tp, dtype=np.uint8)
-    for ko in range(g.kout_tiles):
-        v = int(job.valid_out[ko])
-        k0 = job.ch_base + ko * g.tp
-        out[ko * g.tp:ko * g.tp + v] = enc[k0:k0 + v]
+    """One byte per output lane (zero for invalid lanes)."""
+    lanes = job.valid_lanes()
+    out = np.zeros(job.geom.kout_tiles * job.geom.tp, dtype=np.uint8)
+    out[lanes] = encode_thresholds(thr)[job.ch_base + lanes]
     return out
 
 
@@ -237,8 +240,7 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
     for job in plan.jobs:
         desc = load_job(mem, job, spec, w, thr, w_base, x_base, y_base)
         w_base = desc.thr_base + job.geom.kout_tiles * cfg.tp  # word aligned
-        eng.submit(desc)
-        runs.append(eng.run_next())
+        runs.append(eng.run_next(desc))
 
     out_words = mem.read_words(y_base, y_words).reshape(
         spec.h_out, spec.w_out, words_for_bits(spec.nof))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xnesim.bintensor import BinaryTensor, BinaryWeights
-from xnesim.errors import DecodeError, ShapeError
+from xnesim.errors import ShapeError
 
 dims = st.integers(1, 5)
 
@@ -16,7 +16,6 @@ def test_tensor_bits_roundtrip(c, h, w, rnd):
     t = BinaryTensor.from_bits(bits)
     assert t.words.shape == (h, w, (c + 31) // 32)
     assert np.array_equal(t.to_bits(), bits)
-    assert np.array_equal(t.to_pm1(), bits.astype(int) * 2 - 1)
 
 
 def test_tensor_layout_channel_fastest():
@@ -43,33 +42,6 @@ def test_flat_words_strides():
     assert flat[5] == 1 and flat.sum() == 1
 
 
-def test_tensor_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    t = BinaryTensor.from_bits(rng.integers(0, 2, (37, 3, 4), dtype=np.uint8))
-    p = tmp_path / "t.xbt"
-    t.save(p)
-    t2 = BinaryTensor.load(p)
-    assert (t2.c, t2.h, t2.w) == (37, 3, 4)
-    assert np.array_equal(t2.words, t.words)
-
-
-def test_tensor_file_bad_magic(tmp_path):
-    p = tmp_path / "bad.xbt"
-    p.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(DecodeError):
-        BinaryTensor.load(p)
-
-
-def test_tensor_file_truncated(tmp_path):
-    rng = np.random.default_rng(3)
-    t = BinaryTensor.from_bits(rng.integers(0, 2, (8, 2, 2), dtype=np.uint8))
-    p = tmp_path / "t.xbt"
-    t.save(p)
-    p.write_bytes(p.read_bytes()[:-2])
-    with pytest.raises(DecodeError):
-        BinaryTensor.load(p)
-
-
 @given(dims, st.integers(1, 40), st.integers(1, 3),
        st.randoms(use_true_random=False))
 @settings(max_examples=40)
@@ -82,16 +54,6 @@ def test_weights_bits_roundtrip(nof, nif, fs, rnd):
     assert np.array_equal(w.to_bits(), bits)
 
 
-def test_weights_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    w = BinaryWeights.from_bits(rng.integers(0, 2, (5, 40, 3, 3), dtype=np.uint8))
-    p = tmp_path / "w.xbw"
-    w.save(p)
-    w2 = BinaryWeights.load(p)
-    assert (w2.nof, w2.nif, w2.fs) == (5, 40, 3)
-    assert np.array_equal(w2.words, w.words)
-
-
 def test_shape_validation():
     with pytest.raises(ShapeError):
         BinaryTensor(0, 1, 1)
@@ -99,5 +61,3 @@ def test_shape_validation():
         BinaryTensor(1, 1, 1, words=np.zeros((2, 1, 1), dtype=np.uint32))
     with pytest.raises(ShapeError):
         BinaryWeights.from_bits(np.zeros((2, 3, 2, 3), dtype=np.uint8))
-    with pytest.raises(ShapeError):
-        BinaryTensor.from_pm1(np.zeros((1, 1, 1)))

@@ -77,6 +77,11 @@ def test_run_net_unknown_network(capsys):
     assert main(["run", "net", "lenet", "--mode", "scm-0v4"]) == 3
 
 
+def test_run_net_bad_mvgg_tag(capsys):
+    assert main(["run", "net", "mvgg-x"]) == 3
+    assert capsys.readouterr().err == "error: unknown network 'mvgg-x'\n"
+
+
 def test_run_net_unknown_mode(capsys):
     assert main(["run", "net", "mvgg-f", "--mode", "nvm-9v9"]) == 3
 

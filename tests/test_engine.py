@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from xnesim import engine
 from xnesim.engine import (ACC_MAX, Engine, EngineConfig, JobDescriptor,
                            decode_thresholds, encode_thresholds,
                            phase_schedule, run_single_job)
-from xnesim.errors import BusyError, PlanError, RegionError, ShapeError
+from xnesim.errors import PlanError, RegionError, ShapeError
 from xnesim.golden import (LayerSpec, ThresholdSpec, layer_golden,
                            random_layer_data)
 from xnesim.memory import Memory
@@ -142,21 +144,6 @@ def _tiny_job(mem):
                     mem.base("sram"), mem.base("l1"), mem.base("l1") + 0x1000)
 
 
-def test_double_buffer_and_busy():
-    mem = Memory()
-    eng = Engine(EngineConfig(tp=128), mem)
-    j = _tiny_job(mem)
-    eng.submit(j)
-    eng.submit(j)
-    assert eng.busy
-    with pytest.raises(BusyError):
-        eng.submit(j)
-    assert eng.run_next() is not None
-    assert not eng.busy
-    assert eng.run_next() is not None
-    assert eng.run_next() is None
-
-
 def test_walk_schedule_disagreement_raises(monkeypatch):
     # the walk-vs-schedule check must hold under python -O too
     def off_by_one(geom, valid_out, cfg):
@@ -190,8 +177,11 @@ def test_feature_walk_past_l1_raises():
 def test_tp_mismatch_rejected():
     mem = Memory()
     eng = Engine(EngineConfig(tp=256), mem)
+    job = _tiny_job(mem)
+    before = copy.deepcopy(mem.traffic)
     with pytest.raises(PlanError):
-        eng.submit(_tiny_job(mem))
+        eng.run_next(job)
+    assert mem.traffic == before      # rejected before any access
 
 
 def test_descriptor_validation():

@@ -20,7 +20,7 @@ def naive_popcounts(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):
     wb = w.to_bits()
     out = np.zeros((spec.nof, spec.h_out, spec.w_out), dtype=np.int64)
     for k in range(spec.nof):
-        base = spec.band_start(k)
+        base = k // (spec.nof // spec.groups) * spec.d_eff
         for i in range(spec.h_out):
             for j in range(spec.w_out):
                 pc = 0
@@ -212,8 +212,8 @@ def test_real_reference_equals_golden_when_shift_exact():
 def test_or_maxpool_matches_pm1_max():
     rng = np.random.default_rng(9)
     t = BinaryTensor.from_bits(rng.integers(0, 2, (3, 4, 6), dtype=np.uint8))
-    pooled = or_maxpool(t, 2).to_pm1()
-    ref = t.to_pm1()
+    pooled = or_maxpool(t, 2).to_bits()
+    ref = t.to_bits()
     for c in range(3):
         for i in range(2):
             for j in range(3):
@@ -225,9 +225,9 @@ def test_majority_avgpool_ties_go_positive():
     bits[0, 0, 0] = 1
     bits[0, 1, 1] = 1  # two of four positive -> mean 0 -> +1
     t = BinaryTensor.from_bits(bits)
-    assert majority_avgpool(t, 2).to_pm1()[0, 0, 0] == 1
-    bits[0, 1, 1] = 0  # one of four -> -1
-    assert majority_avgpool(BinaryTensor.from_bits(bits), 2).to_pm1()[0, 0, 0] == -1
+    assert majority_avgpool(t, 2).to_bits()[0, 0, 0] == 1
+    bits[0, 1, 1] = 0  # one of four -> -1, bit 0
+    assert majority_avgpool(BinaryTensor.from_bits(bits), 2).to_bits()[0, 0, 0] == 0
 
 
 def test_layer_spec_properties_and_validation():
@@ -238,7 +238,6 @@ def test_layer_spec_properties_and_validation():
     assert (s.h_in, s.w_in) == (18, 18)
     g = LayerSpec(nif=12, nof=4, fs=1, h_out=1, w_out=1, d=3)
     assert g.groups == 4 and g.d_eff == 3 and g.n_acc == 3
-    assert [g.band_start(k) for k in range(4)] == [0, 3, 6, 9]
     with pytest.raises(ShapeError):
         LayerSpec(nif=10, nof=4, fs=1, h_out=1, w_out=1, d=3)  # 3 !| 10
     with pytest.raises(ShapeError):

@@ -149,6 +149,10 @@ def test_disassemble_rejects_malformed():
     gap[24] = 0x12  # slot 2 active with slot 1 empty
     with pytest.raises(UcodeSyntaxError):
         disassemble(bytes(gap))
+    lone = bytearray(28)
+    lone[25] = 0x12  # the only active loop sits in slot 3, not slot 0
+    with pytest.raises(UcodeSyntaxError, match="from slot 0"):
+        disassemble(bytes(lone))
 
 
 def test_digit_counter_semantics():

@@ -86,6 +86,9 @@ def test_get_network_names():
         get_network("alexnet")
     with pytest.raises(ShapeError):
         get_network("mvgg-3")                 # groups must be a power of two
+    for bad in ("mvgg-x", "mvgg-"):
+        with pytest.raises(ShapeError, match=f"unknown network '{bad}'"):
+            get_network(bad)
 
 
 def test_layer_buffer_accounting():
