@@ -23,7 +23,8 @@ from .engine import EngineConfig
 from .errors import CapacityError, PlanError, RegionError, XneError
 from .golden import LayerSpec, layer_golden, random_layer_data
 from .memory import CoefficientSet, coefficients_from_env, load_coefficients
-from .microcode import disassemble, parse_program, program_to_yaml
+from .microcode import (disassemble, parse_program, program_to_yaml,
+                        reference_program)
 from .networks import get_network
 from .runner import (execute_layer, random_threshold_spec, run_network,
                      verify_layers)
@@ -46,6 +47,15 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _emit(args, text: str) -> None:
+    """Write *text* to -o if given, else print it."""
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text + "\n")
+    else:
+        print(text)
+
+
 def cmd_ucode_asm(args) -> int:
     with open(args.input) as f:
         prog = parse_program(f.read())
@@ -59,22 +69,7 @@ def cmd_ucode_asm(args) -> int:
 
 
 def cmd_ucode_ref(args) -> int:
-    from .microcode import reference_program
-    prog = reference_program()
-    if args.bin:
-        blob = prog.assemble()
-        if args.output:
-            with open(args.output, "wb") as f:
-                f.write(blob)
-        else:
-            print(blob.hex())
-        return 0
-    text = program_to_yaml(prog)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit(args, program_to_yaml(reference_program()))
     return 0
 
 
@@ -82,12 +77,7 @@ def cmd_ucode_dis(args) -> int:
     with open(args.input, "rb") as f:
         data = f.read()
     prog = disassemble(data)
-    text = program_to_yaml(prog) if args.yaml else prog.text()
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _emit(args, program_to_yaml(prog) if args.yaml else prog.text())
     return 0
 
 
@@ -112,12 +102,7 @@ def cmd_run_layer(args) -> int:
 def cmd_run_net(args) -> int:
     net = get_network(args.network)
     rep = run_network(net, args.mode, tp=args.tp, coeffs=_coeffs(args))
-    out = rep.to_csv() if args.format == "csv" else rep.to_text()
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(out + "\n")
-    else:
-        print(out)
+    _emit(args, rep.to_csv() if args.format == "csv" else rep.to_text())
     return 0
 
 
@@ -176,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_ucode_dis)
     r = ucsub.add_parser("ref", help="dump the built-in walk program")
     r.add_argument("-o", "--output")
-    r.add_argument("--bin", action="store_true",
-                   help="emit the bitstream instead of yaml")
     r.set_defaults(fn=cmd_ucode_ref)
 
     run = sub.add_parser("run", help="run a layer or a network")

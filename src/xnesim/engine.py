@@ -14,9 +14,12 @@ a three-phase pipeline per output tile:
 The model evaluates each job as a whole rather than cycle by cycle: it
 builds the job's whole offset stream (microcode.walk_offsets), reads
 every distinct weight block and feature vector once while charging the
-memory for every access the pipeline makes, accumulates all tiles with
-exact matrix products, clamps once (popcounts are >= 0, so that equals
-saturating after every step), then thresholds and stores every tile.
+memory for every access the pipeline makes, accumulates with one exact
+matrix product per (output tile, inner step) over all pixels, clamps
+once (popcounts are >= 0, so that equals saturating after every step),
+then thresholds and stores every tile. The products rely on the walk
+reading one weight block per (output tile, inner step) at every pixel;
+a walk that does not raises PlanError.
 Phase cycles are the closed-form phase_schedule, checked against the
 accumulate cycles of the walk.
 
@@ -175,14 +178,19 @@ class Engine:
         # step = (pixel * kout_tiles + ko) * n_inner + s: each tile (one
         # output vector) accumulates n_inner blocks, s = (fi, fj, ki)
         n_inner = g.fs * g.fs * g.kin_tiles
-        step = np.arange(len(offs))
-        ko = step // n_inner % g.kout_tiles
-        ki = step % n_inner % g.kin_tiles
+        ko = np.arange(len(offs)) // n_inner % g.kout_tiles
         sched = phase_schedule(g, job.valid_out, self.cfg)
         acc_cycles = int(job.valid_out[ko].sum())
         if sched.accumulate != acc_cycles:
             raise PlanError(f"microcode walk took {acc_cycles} accumulate "
                             f"cycles, the phase schedule {sched.accumulate}")
+        # the walk rewinds the weights at every pixel, so each (ko, s)
+        # reads one weight block at all pixels; the products rely on it
+        w_off = offs[:, 0].reshape(-1, g.kout_tiles, n_inner)
+        moved = np.any(w_off != w_off[0], axis=(1, 2))
+        if moved.any():
+            raise PlanError(f"microcode walk reads other weight blocks at "
+                            f"pixel {moved.argmax()} than at pixel 0")
 
         # one fetch per distinct weight block and feature vector; every
         # step's access is still checked and charged
@@ -191,43 +199,31 @@ class Engine:
         x_rows, x_of = mem.gather_words(job.x_base + offs[:, 1] // 8,
                                         tp // 32)
         x = unpack_bits(x_rows, tp).astype(np.float32)
-        w_of = w_of.reshape(-1, g.kout_tiles, n_inner)
-        x_of = x_of.reshape(w_of.shape)
+        x_of = x_of.reshape(w_off.shape)
 
-        # Runs of pixels that read one weight block at (ko, s); the
-        # reference walk makes one run per (ko, s). For lane mask m and
-        # weights w, with p = m & ~w and n = m & w (the bits that agree
-        # when x is 0, resp. 1): popcount(~(x ^ w) & m) = sum(p) - x.(p - n),
-        # so each run is one matrix product. x.(p - n) sums at most tp
-        # values in {-1, 0, 1}: float32 is exact.
-        # a run ends where the next one in its (ko, s) column starts, or
-        # at the column's end
-        cols = w_of.transpose(1, 2, 0).reshape(-1, len(w_of))
-        fresh = np.ones(cols.shape, dtype=bool)
-        fresh[:, 1:] = cols[:, 1:] != cols[:, :-1]
-        col, start = np.nonzero(fresh)
-        end = np.append(start[1:], 0)
-        end[np.append(col[1:] != col[:-1], True)] = len(w_of)
-        k, s = np.divmod(col, n_inner)
-        m = job.masks[k, s % g.kin_tiles]
-        w = w_rows[cols[col, start]].reshape(m.shape)
+        # For lane mask m and weights w, with p = m & ~w and n = m & w
+        # (the bits that agree when x is 0, resp. 1):
+        # popcount(~(x ^ w) & m) = sum(p) - x.(p - n), so each (ko, s)
+        # is one matrix product over all pixels. x.(p - n) sums at most
+        # tp values in {-1, 0, 1}: float32 is exact.
+        m = job.masks[:, np.arange(n_inner) % g.kin_tiles]
+        w = w_rows[w_of.reshape(w_off.shape)[0]].reshape(m.shape)
         p, n = m & ~w, m & w
-        agree_at_0 = np.bitwise_count(p).sum(axis=2, dtype=np.float32)
-        acc = np.zeros(w_of.shape[:2] + (tp,))
-        for r, (a, b) in enumerate(zip(start, end)):
-            signed = (unpack_bits(p[r], tp).view(np.int8)
-                      - unpack_bits(n[r], tp).view(np.int8))
-            agree = x[x_of[a:b, k[r], s[r]]] @ signed.astype(np.float32).T
-            acc[a:b, k[r]] += np.subtract(agree_at_0[r], agree, out=agree)
+        agree_at_0 = np.bitwise_count(p).sum(axis=3, dtype=np.float32)
+        acc = np.zeros(w_off.shape[:2] + (tp,))
+        for k, s in np.ndindex(g.kout_tiles, n_inner):
+            signed = (unpack_bits(p[k, s], tp).view(np.int8)
+                      - unpack_bits(n[k, s], tp).view(np.int8))
+            agree = x[x_of[:, k, s]] @ signed.astype(np.float32).T
+            acc[:, k] += np.subtract(agree_at_0[k, s], agree, out=agree)
         if self.cfg.saturate:
             # popcounts are >= 0: one clamp equals a clamp per step
             np.minimum(acc, ACC_MAX, out=acc)
 
         outputs = self._threshold_store(job, acc.reshape(-1, tp),
                                         ko[::n_inner], offs[::n_inner, 2])
-        mask_bits = np.bitwise_count(job.masks).sum(axis=(2, 3))
-        return JobResult(cycles=sched.total,
-                         ops=2 * int(mask_bits[ko, ki].sum()),
+        ops = 2 * len(w_off) * int(np.bitwise_count(m).sum())
+        return JobResult(cycles=sched.total, ops=ops,
                          outputs_written=outputs, schedule=sched)
 
     def _threshold_store(self, job: JobDescriptor, acc: np.ndarray,

@@ -278,11 +278,11 @@ def parse_program(text: str) -> MicrocodeProgram:
         if label in label_pos:
             raise UcodeSyntaxError(f"duplicate instruction name {label!r}")
         label_pos[label] = i
-        instrs.append(MicroInstruction(op, reg(row["dst"]), reg(row["src"]),
-                                       label))
-        if instrs[-1].dst >= N_RW:
+        dst = reg(row["dst"])
+        if dst >= N_RW:
             raise UcodeSyntaxError(
                 f"code[{i}]: destination must be a pointer register")
+        instrs.append(MicroInstruction(op, dst, reg(row["src"]), label))
 
     loops = []
     for li, row in enumerate(_expect(doc.get("loops") or [], list, "loops")):

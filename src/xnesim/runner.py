@@ -357,8 +357,8 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     """Analytic pass: cycle budgets, transfer overlap, energy."""
     cs = coeffs or coefficients_from_env()
     m = cs.mode(mode)
-    check_fit(net, m.weights_region)
     cfg = EngineConfig(tp=tp)
+    check_fit(net, m.weights_region)
     f_hz = m.freq_mhz * 1e6
     rep = NetworkReport(net.name, mode, tp)
     for nl in net.layers:

@@ -1,11 +1,39 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from xnesim import runner
+from xnesim import cli, runner
 from xnesim.bintensor import BinaryTensor
-from xnesim.cli import main
+from xnesim.cli import build_parser, main
 from xnesim.microcode import reference_program
 
 REF_HEX = reference_program().assemble().hex()
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _commands(text: str) -> list[str]:
+    return [l.strip() for l in text.splitlines()
+            if l.strip().startswith("xnesim ")]
+
+
+README_CMDS = [c for block in re.findall(r"^```[^\n]*\n(.*?)^```",
+                                         README.read_text(), re.M | re.S)
+               for c in _commands(block)]
+DOC_CMDS = _commands(cli.__doc__)
+
+
+@pytest.mark.parametrize("line", sorted(set(README_CMDS + DOC_CMDS)))
+def test_documented_command_parses(line):
+    # parse only, run nothing: a removed or renamed flag fails here
+    # instead of leaving README.md or the cli docstring stale
+    build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_documented_commands_found():
+    # an empty list above would pass vacuously
+    assert len(README_CMDS) >= 8 and len(DOC_CMDS) >= 6
 
 
 def test_ucode_ref_and_asm_roundtrip(tmp_path, capsys):
@@ -80,6 +108,13 @@ def test_run_net_unknown_network(capsys):
 def test_run_net_bad_mvgg_tag(capsys):
     assert main(["run", "net", "mvgg-x"]) == 3
     assert capsys.readouterr().err == "error: unknown network 'mvgg-x'\n"
+
+
+def test_run_net_bad_tp_is_an_input_error(capsys):
+    # an invalid --tp is named before the network's fit is checked
+    assert main(["run", "net", "resnet18", "--tp", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: tp must be one of") and err.count("\n") == 1
 
 
 def test_run_net_unknown_mode(capsys):

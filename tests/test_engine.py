@@ -134,8 +134,7 @@ def test_ops_exactness():
 
 # --- job control --------------------------------------------------------
 
-def _tiny_job(mem):
-    spec = LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)
+def _tiny_job(mem, spec=LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)):
     rng = np.random.default_rng(1)
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
@@ -155,6 +154,25 @@ def test_walk_schedule_disagreement_raises(monkeypatch):
     monkeypatch.setattr(engine, "phase_schedule", off_by_one)
     with pytest.raises(PlanError, match="8 accumulate cycles.* 9"):
         run_single_job(EngineConfig(tp=128), mem, job)
+
+
+def test_weight_block_moving_between_pixels_raises(monkeypatch):
+    # the products take each (ko, s) weight block from pixel 0, so a
+    # walk that reads another valid block at a later pixel is refused
+    mem = Memory()
+    job = _tiny_job(mem, LayerSpec(nif=32, nof=8, fs=3, h_out=2, w_out=2))
+    real = engine.walk_offsets
+
+    def moved(prog, ro):
+        offs = real(prog, ro).copy()
+        offs[9, 0] = offs[10, 0]   # pixel 1, s = 0 reads s = 1's block
+        return offs
+    monkeypatch.setattr(engine, "walk_offsets", moved)
+    before = copy.deepcopy(mem.traffic)
+    with pytest.raises(PlanError,
+                       match="other weight blocks at pixel 1 than at pixel 0"):
+        run_single_job(EngineConfig(tp=128), mem, job)
+    assert mem.traffic == before      # rejected before any access
 
 
 def test_feature_walk_past_l1_raises():

@@ -322,8 +322,11 @@ def test_yaml_parse_errors():
     ("mnemonics: {a: true}\ncode: [{op: add, dst: a, src: tp}]\n",
      r"mnemonics 'a' must be an integer, got True"),
     ("code: [{op: add, dst: true, src: tp}]\n", r"unknown register True"),
+    ("code: [{op: add, dst: tp, src: tp}]\n",
+     r"code\[0\]: destination must be a pointer register"),
 ], ids=["code-not-list", "row-not-mapping", "mnemonics-not-mapping",
-        "missing-src", "loop-body-not-list", "bool-mnemonic", "bool-dst"])
+        "missing-src", "loop-body-not-list", "bool-mnemonic", "bool-dst",
+        "ro-dst"])
 def test_yaml_malformed_fields(text, problem):
     with pytest.raises(UcodeSyntaxError, match=problem):
         parse_program(text)
