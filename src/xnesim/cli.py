@@ -7,6 +7,11 @@
     xnesim report mvgg-2
     xnesim verify --layers 100 --seed 1
 
+`ucode ref` and `ucode dis` print YAML that `ucode asm` reads back.
+Energy coefficients are the `CoefficientSet` defaults unless --config
+names a YAML override. `report` prints one block per network, and
+nothing at all if any network, mode or tp is invalid.
+
 Exit codes: 0 ok, 2 usage, 3 parse/decode or other input error,
 4 does not fit (capacity, planning or memory-region error),
 5 verification mismatch.
@@ -22,7 +27,7 @@ import numpy as np
 from .engine import EngineConfig
 from .errors import CapacityError, PlanError, RegionError, XneError
 from .golden import LayerSpec, layer_golden, random_layer_data
-from .memory import CoefficientSet, coefficients_from_env, load_coefficients
+from .memory import CoefficientSet, load_coefficients
 from .microcode import (disassemble, parse_program, program_to_yaml,
                         reference_program)
 from .networks import get_network
@@ -35,9 +40,7 @@ EXIT_VERIFY = 5
 
 
 def _coeffs(args) -> CoefficientSet:
-    if getattr(args, "config", None):
-        return load_coefficients(args.config)
-    return coefficients_from_env()
+    return load_coefficients(args.config) if args.config else CoefficientSet()
 
 
 def _seed(args) -> int:
@@ -76,8 +79,7 @@ def cmd_ucode_ref(args) -> int:
 def cmd_ucode_dis(args) -> int:
     with open(args.input, "rb") as f:
         data = f.read()
-    prog = disassemble(data)
-    _emit(args, program_to_yaml(prog) if args.yaml else prog.text())
+    _emit(args, program_to_yaml(disassemble(data)))
     return 0
 
 
@@ -106,23 +108,30 @@ def cmd_run_net(args) -> int:
     return 0
 
 
+def _report_row(net, mode: str, tp: int, cs: CoefficientSet) -> str:
+    try:
+        rep = run_network(net, mode, tp=tp, coeffs=cs)
+    except (CapacityError, PlanError) as ex:
+        return f"{mode:<14}{'-':>10}{'-':>10}{'-':>8}{'-':>8}  ({ex})"
+    t = rep.total_seconds
+    return (f"{mode:<14}{rep.energy.total_j * 1e6:>10.3f}"
+            f"{t * 1e3:>10.3f}{rep.fps:>8.2f}"
+            f"{rep.total_ops / t / 1e9:>8.2f}")
+
+
 def cmd_report(args) -> int:
-    net = get_network(args.network)
     cs = _coeffs(args)
     modes = args.modes.split(",") if args.modes else sorted(cs.modes)
-    print(f"network {net.name}: {net.total_ops} ops, "
-          f"{net.packed_param_bits / 8 / 1024:.2f} KiB parameters")
-    print(f"{'mode':<14}{'E[uJ]':>10}{'t[ms]':>10}{'fps':>8}{'Gop/s':>8}")
-    for mode in modes:
-        try:
-            rep = run_network(net, mode, tp=args.tp, coeffs=cs)
-        except (CapacityError, PlanError) as ex:
-            print(f"{mode:<14}{'-':>10}{'-':>10}{'-':>8}{'-':>8}  ({ex})")
-            continue
-        t = rep.total_seconds
-        print(f"{mode:<14}{rep.energy.total_j * 1e6:>10.3f}"
-              f"{t * 1e3:>10.3f}{rep.fps:>8.2f}"
-              f"{rep.total_ops / t / 1e9:>8.2f}")
+    # every row is computed before the first print, so a bad network,
+    # mode or tp leaves stdout empty
+    lines = []
+    for net in map(get_network, args.networks):
+        lines += [f"network {net.name}: {net.total_ops} ops, "
+                  f"{net.packed_param_bits / 8 / 1024:.2f} KiB parameters",
+                  f"{'mode':<14}{'E[uJ]':>10}{'t[ms]':>10}{'fps':>8}"
+                  f"{'Gop/s':>8}"]
+        lines += [_report_row(net, m, args.tp, cs) for m in modes]
+    print("\n".join(lines))
     return 0
 
 
@@ -153,11 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--hex", action="store_true",
                    help="print the bitstream as hex even when writing a file")
     a.set_defaults(fn=cmd_ucode_asm)
-    d = ucsub.add_parser("dis", help="bitstream -> listing")
+    d = ucsub.add_parser("dis", help="28 byte bitstream -> yaml program")
     d.add_argument("input")
     d.add_argument("-o", "--output")
-    d.add_argument("--yaml", action="store_true",
-                   help="emit re-assemblable yaml instead of a listing")
     d.set_defaults(fn=cmd_ucode_dis)
     r = ucsub.add_parser("ref", help="dump the built-in walk program")
     r.add_argument("-o", "--output")
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     rn.set_defaults(fn=cmd_run_net)
 
     rep = sub.add_parser("report", help="energy/time across operating points")
-    rep.add_argument("network")
+    rep.add_argument("networks", nargs="+")
     rep.add_argument("--modes", help="comma separated; default all")
     rep.add_argument("--tp", type=int, default=128)
     rep.add_argument("--config")

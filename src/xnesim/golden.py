@@ -213,14 +213,11 @@ def choose_shift(tau_pc: np.ndarray) -> int:
     return int(np.argmax(ok))
 
 
-def derive_thresholds(bn: BatchNormParams, spec: LayerSpec,
-                      shift: int | None = None) -> ThresholdSpec:
+def derive_thresholds(bn: BatchNormParams, spec: LayerSpec) -> ThresholdSpec:
     if bn.nof != spec.nof:
         raise ShapeError(f"batch norm has {bn.nof} channels, layer {spec.nof}")
     tau_pc, lam_pos = popcount_thresholds(bn, spec.n_acc)
-    if shift is None:
-        shift = choose_shift(tau_pc)
-    return quantize_thresholds(tau_pc, lam_pos, shift)
+    return quantize_thresholds(tau_pc, lam_pos, choose_shift(tau_pc))
 
 
 def check_layer_inputs(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):

@@ -13,7 +13,6 @@ fetching them over the HyperRAM link.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -344,12 +343,6 @@ def load_coefficients(path: str) -> CoefficientSet:
         cs.modes[name] = (replace(cs.modes[name], **kw) if name in cs.modes
                           else ModeEnergy(name, **kw))
     return cs
-
-
-def coefficients_from_env() -> CoefficientSet:
-    """Coefficients from the YAML file XNESIM_COEFFS names, if set."""
-    path = os.environ.get("XNESIM_COEFFS")
-    return load_coefficients(path) if path else CoefficientSet()
 
 
 @dataclass

@@ -103,10 +103,6 @@ class MicroInstruction:
                                    f"register {src}, only {N_REGS} exist")
         return cls(op, dst, src, name)
 
-    def text(self) -> str:
-        return (f"{self.op.name.lower()} {REG_INDEX_TO_NAME[self.dst]} "
-                f"{REG_INDEX_TO_NAME[self.src]}")
-
 
 @dataclass(frozen=True)
 class LoopSpec:
@@ -165,20 +161,6 @@ class MicrocodeProgram:
         for i, lp in enumerate(self.loops):
             out[MAX_INSTRUCTIONS + i] = lp.encode()
         return bytes(out)
-
-    def text(self) -> str:
-        lines = []
-        owners = {}
-        for li, lp in enumerate(self.loops):
-            for k in range(lp.base, lp.base + lp.count):
-                owners[k] = li
-        for i, ins in enumerate(self.instructions):
-            tag = f"loop{owners[i]}" if i in owners else "     "
-            lines.append(f"{i:2d}  [{tag}]  {ins.text()}")
-        for li, lp in enumerate(self.loops):
-            lines.append(f"loop{li}: base={lp.base} count={lp.count} "
-                         f"range={REG_INDEX_TO_NAME[lp.range_reg]}")
-        return "\n".join(lines)
 
 
 def disassemble(data: bytes,

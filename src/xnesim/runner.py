@@ -32,13 +32,12 @@ from .bintensor import BinaryTensor, BinaryWeights
 from .bits import pack_bits, unpack_bits, words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
-from .errors import CapacityError, PlanError, ShapeError
+from .errors import CapacityError, PlanError, ShapeError, XneError
 from .golden import (LayerSpec, ThresholdSpec, check_layer_inputs,
                      derive_thresholds, layer_golden, random_batchnorm,
                      random_layer_data)
 from .memory import (KIB, PARAM_REGION, CoefficientSet, EnergyBreakdown,
-                     Memory, account_energy, coefficients_from_env,
-                     default_memory_map)
+                     Memory, account_energy, default_memory_map)
 from .microcode import JobGeometry
 from .networks import NetworkDescriptor
 
@@ -86,8 +85,6 @@ class JobPlan:
 
 @dataclass
 class LayerPlan:
-    spec: LayerSpec
-    tp: int
     jobs: list[JobPlan]
 
     def schedules(self, cfg: EngineConfig) -> list[PhaseSchedule]:
@@ -121,7 +118,7 @@ def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
                        x_row_stride=32 * wpp_in * spec.w_in,
                        y_pixel_stride=32 * wpp_out,
                        y_row_stride=32 * wpp_out * spec.w_out)
-    return LayerPlan(spec, tp, [
+    return LayerPlan([
         JobPlan(geom, valid_out, d_eff, lanes, ch_base,
                 x_bit_offset=ch_base // npg * d_eff, y_bit_offset=ch_base)
         for ch_base in range(0, n_jobs * n_out, n_out)])
@@ -355,7 +352,7 @@ def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
 def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
                 coeffs: CoefficientSet | None = None) -> NetworkReport:
     """Analytic pass: cycle budgets, transfer overlap, energy."""
-    cs = coeffs or coefficients_from_env()
+    cs = coeffs or CoefficientSet()
     m = cs.mode(mode)
     cfg = EngineConfig(tp=tp)
     check_fit(net, m.weights_region)
@@ -387,7 +384,9 @@ def verify_layers(n_layers: int, seed: int, tp: int = 128,
                   max_spatial: int = 8) -> list[dict]:
     """Random engine-vs-reference sweeps; returns a record per layer
     with a `mismatches` count (0 everywhere when the engine is right).
-    ShapeError unless n_layers >= 1: an empty sweep proves nothing."""
+    ShapeError unless n_layers >= 1: an empty sweep proves nothing.
+    A layer that raises XneError re-raises the same type, its message
+    prefixed with the layer index, spec, --seed and --tp."""
     if n_layers < 1:
         raise ShapeError(f"need at least one layer, got {n_layers}")
     rng = np.random.default_rng(seed)
@@ -397,7 +396,11 @@ def verify_layers(n_layers: int, seed: int, tp: int = 128,
         spec = random_layer_spec(rng, max_spatial=max_spatial)
         x, w = random_layer_data(rng, spec)
         thr = random_threshold_spec(rng, spec)
-        run = execute_layer(cfg, spec, x, w, thr)
+        try:
+            run = execute_layer(cfg, spec, x, w, thr)
+        except XneError as ex:
+            raise type(ex)(f"layer {i}: {spec}, --seed {seed} --tp {tp}: "
+                           f"{ex}") from ex
         want = layer_golden(x, w, spec, thr)
         mism = int(np.sum(run.output.to_bits() != want.to_bits()))
         records.append({"layer": i, "spec": spec, "mismatches": mism,

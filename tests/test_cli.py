@@ -46,20 +46,12 @@ def test_ucode_ref_and_asm_roundtrip(tmp_path, capsys):
     assert len(out.read_bytes()) == 28
 
 
-def test_ucode_dis_listing(tmp_path, capsys):
-    blob = tmp_path / "p.bin"
-    blob.write_bytes(bytes.fromhex(REF_HEX))
-    assert main(["ucode", "dis", str(blob)]) == 0
-    text = capsys.readouterr().out
-    assert "add W tp_square" in text
-    assert "loop0" in text
-
-
 def test_ucode_dis_yaml_reassembles(tmp_path, capsys):
     blob = tmp_path / "p.bin"
     blob.write_bytes(bytes.fromhex(REF_HEX))
+    assert main(["ucode", "dis", str(blob)]) == 0
     y = tmp_path / "rt.yaml"
-    assert main(["ucode", "dis", str(blob), "--yaml", "-o", str(y)]) == 0
+    y.write_text(capsys.readouterr().out)
     assert main(["ucode", "asm", str(y)]) == 0
     assert capsys.readouterr().out.strip() == REF_HEX
 
@@ -129,6 +121,27 @@ def test_report_skips_unfit_modes(capsys):
     assert "-" in scm_line     # rejected with a reason, not a number
 
 
+def test_report_prints_each_network_in_order(capsys):
+    assert main(["report", "mvgg-f"]) == 0
+    f = capsys.readouterr().out
+    assert main(["report", "mvgg-4"]) == 0
+    four = capsys.readouterr().out
+    assert main(["report", "mvgg-f", "mvgg-4"]) == 0
+    assert capsys.readouterr().out == f + four
+
+
+@pytest.mark.parametrize("argv", [
+    ["mvgg-2", "--tp", "100"],
+    ["mvgg-2", "--modes", "bogus"],
+    ["mvgg-2", "lenet"],
+], ids=["tp", "mode", "network"])
+def test_report_rejects_input_before_printing(argv, capsys):
+    assert main(["report", *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_cli(capsys):
     assert main(["verify", "--layers", "4", "--seed", "8"]) == 0
     assert "0 with mismatches" in capsys.readouterr().out
@@ -150,6 +163,16 @@ def test_negative_seed_is_an_error(argv, capsys):
     assert main(argv + ["--seed", "-1"]) == 3
     err = capsys.readouterr().err
     assert err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_verify_error_names_the_layer(capsys):
+    # layer 0 at seed 0 is 79->11 fs=5: its padded weight stream does
+    # not fit the sram region at tp 512
+    assert main(["verify", "--layers", "1", "--tp", "512"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 0: LayerSpec(nif=79, nof=11, fs=5")
+    assert "--seed 0 --tp 512: weight stream" in err
+    assert err.count("\n") == 1
 
 
 def test_ucode_asm_bad_field(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xnesim.errors import DecodeError, RegionError, ShapeError
 from xnesim.memory import (CoefficientSet, Memory, account_energy,
-                           coefficients_from_env, load_coefficients, realign)
+                           load_coefficients, realign)
 
 
 def test_default_map_sizes():
@@ -181,12 +181,3 @@ def test_load_coefficients_rejects_bad_yaml(tmp_path, text, problem):
     p.write_text(text)
     with pytest.raises(DecodeError, match=problem):
         load_coefficients(str(p))
-
-
-def test_coefficients_from_env(tmp_path, monkeypatch):
-    p = tmp_path / "c.yaml"
-    p.write_text("marshal_pj_per_bit: 9.9\n")
-    monkeypatch.setenv("XNESIM_COEFFS", str(p))
-    assert coefficients_from_env().marshal_pj_per_bit == 9.9
-    monkeypatch.delenv("XNESIM_COEFFS")
-    assert coefficients_from_env().marshal_pj_per_bit == 8.7

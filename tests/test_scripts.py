@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +16,6 @@ def _run(script: str, *args: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def test_mvgg_sweep_csv():
-    lines = _run("mvgg_sweep.py", "--groups", "2", "--csv")
-    assert lines[0] == "network,kib,mode,energy_uj,time_ms,fps,gops"
-    rows = [line.split(",") for line in lines[1:]]
-    assert {r[2] for r in rows} == {"marshal-0v6", "sram-0v6", "hyperram"}
-    for r in rows:
-        assert len(r) == 7 and r[0] == "mvgg-2"
-        assert all(float(v) > 0 for v in r[3:])
-
-
 def test_throughput_calibration_rows():
     lines = _run("throughput_calibration.py", "--pixels", "2")
     assert lines[0] == "tp=128  peak 256 op/cycle"
@@ -34,3 +25,11 @@ def test_throughput_calibration_rows():
     for row in rows:
         # a layer that failed would print its error instead of a % column
         assert row.endswith("%") and " 2x2 " in row
+
+
+def test_readme_documents_exactly_the_scripts():
+    # a deleted script cannot stay documented, nor a new one go unlisted
+    readme = (ROOT / "README.md").read_text()
+    documented = set(re.findall(r"python3 scripts/([\w.-]+\.py)", readme))
+    present = {p.name for p in (ROOT / "scripts").glob("*.py")}
+    assert present and documented == present
