@@ -4,8 +4,8 @@ memory system, plus network-level workload runs."""
 
 from .bintensor import BinaryTensor, BinaryWeights
 from .errors import (CapacityError, DecodeError, DegenerateBatchNorm,
-                     PlanError, RegionError, ShapeError, UcodeSyntaxError,
-                     XneError)
+                     ModeError, PlanError, RegionError, ShapeError,
+                     UcodeSyntaxError, XneError)
 from .golden import (BatchNormParams, LayerSpec, ThresholdSpec,
                      derive_thresholds, layer_golden, real_reference)
 from .microcode import (JobGeometry, MicrocodeProgram, disassemble,
@@ -14,6 +14,7 @@ from .microcode import (JobGeometry, MicrocodeProgram, disassemble,
 from .engine import Engine, EngineConfig, JobDescriptor, phase_schedule
 from .memory import CoefficientSet, EnergyBreakdown, Memory, account_energy
 from .networks import NetworkDescriptor, get_network
-from .runner import (execute_layer, plan_layer, run_network, verify_layers)
+from .runner import (execute_layer, layer_cost, plan_layer, run_network,
+                     verify_layers)
 
 __version__ = "0.1.0"

@@ -214,10 +214,8 @@ def main(argv=None) -> int:
     except (CapacityError, PlanError, RegionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (XneError, KeyError, ValueError, OSError) as ex:
-        # str(KeyError) wraps the message in quotes
-        msg = ex.args[0] if isinstance(ex, KeyError) and ex.args else ex
-        print(f"error: {msg}", file=sys.stderr)
+    except (XneError, OSError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -129,22 +129,31 @@ class PhaseSchedule:
         return (self.feature_load + self.accumulate + self.threshold
                 + self.gaps + self.overhead)
 
+    def times(self, n: int) -> PhaseSchedule:
+        """The budget of n jobs with this one's schedule."""
+        return PhaseSchedule(self.feature_load * n, self.accumulate * n,
+                             self.threshold * n, self.gaps * n,
+                             self.overhead * n)
 
-def phase_schedule(geom: JobGeometry, valid_out, cfg: EngineConfig
-                   ) -> PhaseSchedule:
-    """Cycle budget: per block (STREAM_SETUP+1) load + 2 gaps + one
-    accumulate cycle per valid lane; per tile a threshold phase of
-    STREAM_SETUP + 8 + 1 + 1 plus 2 gaps; one overhead per job."""
-    valid_out = np.asarray(valid_out)
-    pixels = geom.h_out * geom.w_out
-    blocks_per_tile = geom.fs * geom.fs * geom.kin_tiles
-    n_tiles = pixels * geom.kout_tiles
+
+def phase_schedule(tp: int, fs: int, pixels: int, kin_tiles: int,
+                   kout_tiles: int, valid_lanes: int) -> PhaseSchedule:
+    """Cycle budget of one job, from plain integers: the job walks
+    *pixels* output pixels, each over kout_tiles output tiles of
+    fs*fs*kin_tiles blocks, and its tiles hold *valid_lanes* valid
+    lanes in total (the sum of the job's valid_out). Per block
+    (STREAM_SETUP+1) load + 2 gaps + one accumulate cycle per valid
+    lane; per tile a threshold phase of STREAM_SETUP + 8 + 1 + 1 (TP
+    threshold bytes over tp/32 ports of 32 bits) plus 2 gaps; one
+    overhead per job."""
+    blocks_per_tile = fs * fs * kin_tiles
+    n_tiles = pixels * kout_tiles
     n_blocks = n_tiles * blocks_per_tile
-    thr_fetch = (geom.tp * 8 + 32 * cfg.ports - 1) // (32 * cfg.ports)
-    accumulate = int(pixels * blocks_per_tile * valid_out.sum())
+    ports = tp // 32
+    thr_fetch = (tp * 8 + 32 * ports - 1) // (32 * ports)
     return PhaseSchedule(
         feature_load=n_blocks * (STREAM_SETUP + 1),
-        accumulate=accumulate,
+        accumulate=pixels * blocks_per_tile * valid_lanes,
         threshold=n_tiles * (STREAM_SETUP + thr_fetch + 1 + 1),
         gaps=(2 * n_blocks + 2 * n_tiles) * PHASE_GAP,
         overhead=JOB_OVERHEAD)
@@ -179,7 +188,8 @@ class Engine:
         # output vector) accumulates n_inner blocks, s = (fi, fj, ki)
         n_inner = g.fs * g.fs * g.kin_tiles
         ko = np.arange(len(offs)) // n_inner % g.kout_tiles
-        sched = phase_schedule(g, job.valid_out, self.cfg)
+        sched = phase_schedule(tp, g.fs, g.h_out * g.w_out, g.kin_tiles,
+                               g.kout_tiles, int(job.valid_out.sum()))
         acc_cycles = int(job.valid_out[ko].sum())
         if sched.accumulate != acc_cycles:
             raise PlanError(f"microcode walk took {acc_cycles} accumulate "

@@ -31,3 +31,7 @@ class CapacityError(XneError):
 
 class PlanError(XneError):
     """A layer cannot be mapped onto the engine as configured."""
+
+
+class ModeError(XneError):
+    """No operating mode of the coefficient set has the given name."""

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DecodeError, RegionError, ShapeError
+from .errors import DecodeError, ModeError, RegionError, ShapeError
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -278,8 +278,8 @@ class CoefficientSet:
 
     def mode(self, name: str) -> ModeEnergy:
         if name not in self.modes:
-            raise KeyError(f"unknown mode {name!r}; have "
-                           f"{sorted(self.modes)}")
+            raise ModeError(f"unknown mode {name!r}; have "
+                            f"{sorted(self.modes)}")
         return self.modes[name]
 
 

@@ -1,6 +1,6 @@
 """Mapping layers onto the engine and running whole networks.
 
-plan_layer turns a layer into engine jobs by one rule:
+plan_layer turns a layer into engine jobs by one rule (_job_shape):
 
   * banded connectivity whose bands fold linearly onto output tiles
     (tp is a multiple of the outputs per band, and the input span of
@@ -15,10 +15,12 @@ of TP bits each, lane vectors aligned with where the feature vector
 carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
-Network runs are analytic by default: per-layer cycle budgets from the
-engine's phase schedule, energy from the operating point, and transfer
-time overlapped with compute (parameters stream through a ring buffer
-at block granularity, so staging capacity never serializes a layer).
+Network runs are analytic: each layer's cycles and ops come from
+layer_cost, which applies the same rule in closed form (the job count
+times one job's phase schedule) and plans no job. Energy comes from
+the operating point, and transfer time overlaps compute (parameters
+stream through a ring buffer at block granularity, so staging capacity
+never serializes a layer). plan_layer serves the functional path.
 """
 
 from __future__ import annotations
@@ -88,27 +90,38 @@ class LayerPlan:
     jobs: list[JobPlan]
 
     def schedules(self, cfg: EngineConfig) -> list[PhaseSchedule]:
-        return [phase_schedule(j.geom, j.valid_out, cfg) for j in self.jobs]
+        """Each job's phase schedule. It depends on the job's geometry
+        alone, which holds its tp; cfg is not read."""
+        return [phase_schedule(j.geom.tp, j.geom.fs,
+                               j.geom.h_out * j.geom.w_out, j.geom.kin_tiles,
+                               j.geom.kout_tiles, int(j.valid_out.sum()))
+                for j in self.jobs]
 
     def cycles(self, cfg: EngineConfig) -> int:
         return sum(s.total for s in self.schedules(cfg))
 
 
-def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
+def _job_shape(spec: LayerSpec, tp: int) -> tuple[int, int, int, int, int]:
+    """The fold-or-split rule of the module docstring, as (jobs,
+    outputs per job, lanes per band within a tile, band_step, input
+    span of one output tile). PlanError when the bands neither fold
+    nor split into word-aligned per-band jobs."""
     groups, d_eff = spec.groups, spec.d_eff
     npg = spec.nof // groups
     if groups > 1 and tp % npg == 0 and (tp // npg) * d_eff % 32 == 0:
         # bands fold linearly onto output tiles: one job, banded walk
-        band_step = span = (tp // npg) * d_eff
-        n_jobs, n_out, lanes = 1, spec.nof, npg
-    else:
-        # one dense job per band; full connectivity is the single band
-        if groups > 1 and (d_eff % 32 or npg % 32):
-            raise PlanError(
-                f"band width {d_eff} / band outputs {npg} "
-                f"must be word-aligned to split into per-band jobs")
-        band_step, span = 0, d_eff
-        n_jobs, n_out, lanes = groups, npg, tp
+        band_step = (tp // npg) * d_eff
+        return 1, spec.nof, npg, band_step, band_step
+    # one dense job per band; full connectivity is the single band
+    if groups > 1 and (d_eff % 32 or npg % 32):
+        raise PlanError(
+            f"band width {d_eff} / band outputs {npg} "
+            f"must be word-aligned to split into per-band jobs")
+    return groups, npg, tp, 0, d_eff
+
+
+def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
+    n_jobs, n_out, lanes, band_step, span = _job_shape(spec, tp)
     valid_out = np.array([min(tp, n_out - k) for k in range(0, n_out, tp)])
     wpp_in, wpp_out = words_for_bits(spec.nif), words_for_bits(spec.nof)
     geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
@@ -118,10 +131,37 @@ def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
                        x_row_stride=32 * wpp_in * spec.w_in,
                        y_pixel_stride=32 * wpp_out,
                        y_row_stride=32 * wpp_out * spec.w_out)
+    # job i is band i when the bands split: its outputs and input band
+    # start i bands in
     return LayerPlan([
-        JobPlan(geom, valid_out, d_eff, lanes, ch_base,
-                x_bit_offset=ch_base // npg * d_eff, y_bit_offset=ch_base)
-        for ch_base in range(0, n_jobs * n_out, n_out)])
+        JobPlan(geom, valid_out, spec.d_eff, lanes, i * n_out,
+                x_bit_offset=i * spec.d_eff, y_bit_offset=i * n_out)
+        for i in range(n_jobs)])
+
+
+@dataclass
+class LayerCost:
+    """Closed-form cost of one layer at one tp."""
+
+    jobs: int
+    schedule: PhaseSchedule   # summed over the jobs
+    ops: int
+
+    @property
+    def cycles(self) -> int:
+        return self.schedule.total
+
+
+def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
+    """What plan_layer(spec, tp) costs, without planning it: the job
+    count, the phase schedules summed part by part, and the ops. All
+    jobs of a layer share one geometry, and each job's output tiles
+    hold its n_out valid lanes, so the sum is the job count times one
+    job's schedule. Raises PlanError exactly where plan_layer does."""
+    n_jobs, n_out, _, _, span = _job_shape(spec, tp)
+    job = phase_schedule(tp, spec.fs, spec.h_out * spec.w_out,
+                         (span + tp - 1) // tp, (n_out + tp - 1) // tp, n_out)
+    return LayerCost(n_jobs, job.times(n_jobs), spec.ops)
 
 
 def weight_stream_words(job: JobPlan, spec: LayerSpec,
@@ -354,14 +394,13 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     """Analytic pass: cycle budgets, transfer overlap, energy."""
     cs = coeffs or CoefficientSet()
     m = cs.mode(mode)
-    cfg = EngineConfig(tp=tp)
+    EngineConfig(tp=tp)   # rejects a bad tp before check_fit
     check_fit(net, m.weights_region)
     f_hz = m.freq_mhz * 1e6
     rep = NetworkReport(net.name, mode, tp)
     for nl in net.layers:
-        plan = plan_layer(nl.spec, tp)
-        cycles = plan.cycles(cfg)
-        compute_s = cycles / f_hz
+        cost = layer_cost(nl.spec, tp)
+        compute_s = cost.cycles / f_hz
         bits = nl.packed_param_bits
         marshal_bits = bits if m.weights_region == "sram_marshal" else 0
         hyper_bits = bits if m.weights_region == "hyperram" else 0
@@ -373,9 +412,9 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
             transfer_s = 0.0
         bound = "memory" if transfer_s > compute_s else "compute"
         sec = max(compute_s, transfer_s)
-        energy = account_energy(nl.spec.ops, marshal_bits, hyper_bits,
+        energy = account_energy(cost.ops, marshal_bits, hyper_bits,
                                 sec, mode, cs)
-        rep.rows.append(LayerRow(nl.name, nl.spec.ops, bits, cycles,
+        rep.rows.append(LayerRow(nl.name, cost.ops, bits, cost.cycles,
                                  compute_s, transfer_s, bound, energy))
     return rep
 

@@ -111,6 +111,18 @@ def test_run_net_bad_tp_is_an_input_error(capsys):
 
 def test_run_net_unknown_mode(capsys):
     assert main(["run", "net", "mvgg-f", "--mode", "nvm-9v9"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown mode 'nvm-9v9'; have [")
+    assert err.count("\n") == 1 and err.count("error:") == 1
+
+
+def test_internal_error_is_not_an_input_error(monkeypatch):
+    # only XneError and OSError are input errors; a bug shows as itself
+    def broken(*args, **kwargs):
+        raise ValueError("shape bug")
+    monkeypatch.setattr(cli, "run_network", broken)
+    with pytest.raises(ValueError, match="shape bug"):
+        main(["run", "net", "mvgg-f"])
 
 
 def test_report_skips_unfit_modes(capsys):

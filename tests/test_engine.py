@@ -145,8 +145,8 @@ def _tiny_job(mem, spec=LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)):
 
 def test_walk_schedule_disagreement_raises(monkeypatch):
     # the walk-vs-schedule check must hold under python -O too
-    def off_by_one(geom, valid_out, cfg):
-        s = phase_schedule(geom, valid_out, cfg)
+    def off_by_one(*args):
+        s = phase_schedule(*args)
         s.accumulate += 1
         return s
     mem = Memory()
@@ -280,5 +280,5 @@ def test_schedule_helper_direct():
     spec = LayerSpec(nif=128, nof=128, fs=3, h_out=2, w_out=2)
     plan = plan_layer(spec, 128)
     j = plan.jobs[0]
-    s = phase_schedule(j.geom, j.valid_out, EngineConfig(tp=128))
+    s = phase_schedule(128, 3, 4, j.geom.kin_tiles, j.geom.kout_tiles, 128)
     assert s.total == plan.cycles(EngineConfig(tp=128))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xnesim.errors import DecodeError, RegionError, ShapeError
+from xnesim.errors import DecodeError, ModeError, RegionError, ShapeError
 from xnesim.memory import (CoefficientSet, Memory, account_energy,
                            load_coefficients, realign)
 
@@ -128,7 +128,7 @@ def test_mode_table_energy_split():
     assert marshal.total_fj_per_op == pytest.approx(52.0)
     assert cs.mode("scm-0v5").total_fj_per_op == pytest.approx(40.2)
     assert cs.mode("hyperram").freq_mhz == 490.0
-    with pytest.raises(KeyError):
+    with pytest.raises(ModeError):
         cs.mode("nope")
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from xnesim.bintensor import BinaryTensor, BinaryWeights
 from xnesim.engine import VALID_TPS, EngineConfig
-from xnesim.errors import CapacityError, PlanError, ShapeError
+from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
 from xnesim.golden import LayerSpec, random_layer_data
 from xnesim.memory import CoefficientSet, Memory
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
-from xnesim.runner import (check_fit, execute_layer, load_job, plan_layer,
-                           random_threshold_spec, run_network,
+from xnesim.runner import (check_fit, execute_layer, layer_cost, load_job,
+                           plan_layer, random_threshold_spec, run_network,
                            threshold_stream_bytes, verify_layers,
                            weight_stream_words)
 
@@ -58,6 +58,91 @@ def test_plan_fallback_requires_alignment():
     spec = LayerSpec(nif=16, nof=384, fs=1, h_out=1, w_out=1, d=8)
     with pytest.raises(PlanError):
         plan_layer(spec, 128)
+
+
+# --- closed-form layer cost ---------------------------------------------
+
+PARTS = ("feature_load", "accumulate", "threshold", "gaps", "overhead")
+NETWORKS = ("resnet18", "resnet34", "mvgg-1", "mvgg-2", "mvgg-4", "mvgg-8",
+            "mvgg-f")
+
+
+def _planned(spec, tp):
+    """The plan's job count, its schedules summed part by part, and the
+    ops its masks connect; or PlanError's message."""
+    try:
+        plan = plan_layer(spec, tp)
+    except PlanError as ex:
+        return str(ex)
+    scheds = plan.schedules(EngineConfig(tp=tp))
+    ops = sum(2 * spec.fs * spec.fs * spec.h_out * spec.w_out
+              * int(np.bitwise_count(j.masks()).sum()) for j in plan.jobs)
+    return (len(plan.jobs),
+            tuple(sum(getattr(s, p) for s in scheds) for p in PARTS), ops)
+
+
+def _closed_form(spec, tp):
+    try:
+        cost = layer_cost(spec, tp)
+    except PlanError as ex:
+        return str(ex)
+    assert cost.ops == spec.ops
+    return (cost.jobs, tuple(getattr(cost.schedule, p) for p in PARTS),
+            cost.ops)
+
+
+def _kinds(spec, tp):
+    """Job kinds plan_layer gives spec at tp."""
+    try:
+        jobs = plan_layer(spec, tp).jobs
+    except PlanError:
+        return {"PlanError"}
+    npg = spec.nof // spec.groups
+    kinds = {"dense" if spec.groups == 1
+             else "folded-band" if len(jobs) == 1 else "per-band"}
+    if jobs[0].valid_out.min() < tp:
+        kinds.add("remainder-lane")
+    if spec.groups > 1 and npg > 1:
+        kinds.add("npg>1")
+    return kinds
+
+
+def _grouped_spec(rng):
+    """Dense, or banded with 2-16 bands of 1-96 inputs and 1-96 outputs
+    each, so bands fold, split, or do neither depending on tp."""
+    fs = int(rng.choice([1, 3]))
+    h, w = (int(v) for v in rng.integers(1, 4, size=2))
+    if rng.integers(0, 4) == 0:
+        nif, nof = (int(v) for v in rng.integers(1, 600, size=2))
+        return LayerSpec(nif=nif, nof=nof, fs=fs, h_out=h, w_out=w)
+    groups = int(rng.integers(2, 17))
+    d = int(rng.choice([1, 2, 3, 4, 8, 16, 32, 64, 96]))
+    npg = int(rng.choice([1, 2, 3, 4, 8, 16, 32, 33, 64, 96]))
+    return LayerSpec(nif=groups * d, nof=groups * npg, fs=fs, h_out=h,
+                     w_out=w, d=d)
+
+
+def test_layer_cost_equals_plan_on_every_network_layer():
+    kinds = set()
+    for net in map(get_network, NETWORKS):
+        for nl in net.layers:
+            for tp in VALID_TPS:
+                assert (_closed_form(nl.spec, tp)
+                        == _planned(nl.spec, tp)), (net.name, nl.name, tp)
+                kinds |= _kinds(nl.spec, tp)
+    assert kinds >= {"dense", "folded-band", "per-band", "npg>1", "PlanError"}
+
+
+def test_layer_cost_equals_plan_on_grouped_sweep():
+    rng = np.random.default_rng(20261018)
+    kinds = set()
+    for _ in range(150):
+        spec = _grouped_spec(rng)
+        for tp in VALID_TPS:
+            assert _closed_form(spec, tp) == _planned(spec, tp), (spec, tp)
+            kinds |= _kinds(spec, tp)
+    assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
+                     "npg>1", "PlanError"}
 
 
 MASK_SPECS = [
@@ -260,6 +345,20 @@ def test_run_network_fit_rejections():
     with pytest.raises(CapacityError):
         run_network(get_network("mvgg-1"), "sram-0v6")   # 563 KiB > 448
     run_network(get_network("mvgg-1"), "hyperram")       # fits there
+
+
+def test_run_network_checks_in_order():
+    # mode, then tp, then fit, then the layers: a call that fails two
+    # checks names the earlier one
+    net = get_network("mvgg-8")
+    with pytest.raises(ModeError):
+        run_network(net, "nvm-9v9", tp=100)
+    with pytest.raises(ShapeError, match="tp must be one of"):
+        run_network(net, "scm-0v4", tp=100)
+    with pytest.raises(CapacityError):
+        run_network(net, "scm-0v4", tp=32)   # conv3 also raises PlanError
+    with pytest.raises(PlanError):
+        run_network(net, "sram-0v6", tp=32)
 
 
 def test_check_fit_activation_budget():
