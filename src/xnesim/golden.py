@@ -24,6 +24,7 @@ each output channel to a contiguous band of d input channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class LayerSpec:
     d is the input-band width per output channel; None means full
     connectivity. A fully-connected layer is fs=1, h_out=w_out=1 with
     nif = flattened input length.
+
+    The derived integers (groups, d_eff, n_acc, h_in, w_in, macs, ops)
+    are computed once per spec, on first use; eq, hash and repr read
+    the six fields alone.
     """
 
     nif: int
@@ -65,33 +70,33 @@ class LayerSpec:
                 raise ShapeError(
                     f"nof={self.nof} not divisible by {self.groups} bands")
 
-    @property
+    @cached_property
     def groups(self) -> int:
         return 1 if self.d is None else self.nif // self.d
 
-    @property
+    @cached_property
     def d_eff(self) -> int:
         """Input channels seen by one output channel."""
         return self.nif // self.groups
 
-    @property
+    @cached_property
     def n_acc(self) -> int:
         """Receptive-field size: bits accumulated per output element."""
         return self.d_eff * self.fs * self.fs
 
-    @property
+    @cached_property
     def h_in(self) -> int:
         return self.h_out + self.fs - 1
 
-    @property
+    @cached_property
     def w_in(self) -> int:
         return self.w_out + self.fs - 1
 
-    @property
+    @cached_property
     def macs(self) -> int:
         return self.nof * self.h_out * self.w_out * self.n_acc
 
-    @property
+    @cached_property
     def ops(self) -> int:
         """xnor+popcount counted as 2 ops per accumulated bit."""
         return 2 * self.macs

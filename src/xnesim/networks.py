@@ -17,11 +17,17 @@ Pooling between layers is OR pooling (max over +/-1) or majority
 
 Parameter footprint is counted packed: d_eff weight bits per output
 channel tap plus one 8-bit threshold per channel.
+
+Descriptors are immutable. A NetworkDescriptor holds its layers as a
+tuple and fixes its footprint (packed parameter bits and activation
+peak) when it is built, so the runner's fit check compares stored
+values and reads no layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bits import words_for_bits
 from .errors import ShapeError
@@ -35,7 +41,7 @@ class NetLayer:
     pools: tuple[str, ...] = ()   # applied after the layer: "max2" | "avg2"
     im2col: bool = False          # input buffer is streamed, not resident
 
-    @property
+    @cached_property
     def packed_param_bits(self) -> int:
         s = self.spec
         return s.nof * s.d_eff * s.fs * s.fs + 8 * s.nof
@@ -51,35 +57,49 @@ class NetLayer:
         return s.h_out * s.w_out * words_for_bits(s.nof) * 4
 
 
-@dataclass
+def _activation_peak(layers: tuple[NetLayer, ...]) -> int:
+    """Largest set of activation buffers alive at once: while a layer
+    runs, its (halo'd) input and raw output coexist; while pooling, the
+    raw output and the next layer's halo'd input do. im2col inputs are
+    not resident."""
+    peak = 0
+    for i, l in enumerate(layers):
+        live = l.output_buffer_bytes()
+        if not l.im2col:
+            live += l.input_buffer_bytes()
+        peak = max(peak, live)
+        if i + 1 < len(layers):
+            nxt = layers[i + 1]
+            handoff = l.output_buffer_bytes() + nxt.input_buffer_bytes()
+            peak = max(peak, handoff)
+    return peak
+
+
+@dataclass(frozen=True)
 class NetworkDescriptor:
+    """A network's layers in order, and its footprint, fixed when the
+    descriptor is built. A list of layers is stored as a tuple."""
+
     name: str
-    layers: list[NetLayer] = field(default_factory=list)
+    layers: tuple[NetLayer, ...] = ()
+    packed_param_bits: int = field(init=False, repr=False, compare=False)
+    _peak_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        layers = tuple(self.layers)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "packed_param_bits",
+                           sum(l.packed_param_bits for l in layers))
+        object.__setattr__(self, "_peak_bytes", _activation_peak(layers))
 
     @property
     def total_ops(self) -> int:
         return sum(l.spec.ops for l in self.layers)
 
-    @property
-    def packed_param_bits(self) -> int:
-        return sum(l.packed_param_bits for l in self.layers)
-
     def activation_peak_bytes(self) -> int:
-        """Largest set of activation buffers alive at once: while a
-        layer runs, its (halo'd) input and raw output coexist; while
-        pooling, the raw output and the next layer's halo'd input do.
-        im2col inputs are not resident."""
-        peak = 0
-        for i, l in enumerate(self.layers):
-            live = l.output_buffer_bytes()
-            if not l.im2col:
-                live += l.input_buffer_bytes()
-            peak = max(peak, live)
-            if i + 1 < len(self.layers):
-                nxt = self.layers[i + 1]
-                handoff = l.output_buffer_bytes() + nxt.input_buffer_bytes()
-                peak = max(peak, handoff)
-        return peak
+        """Largest set of activation buffers alive at once, as fixed
+        when the descriptor was built."""
+        return self._peak_bytes
 
 
 def make_resnet(depth: int) -> NetworkDescriptor:
@@ -95,10 +115,9 @@ def make_resnet(depth: int) -> NetworkDescriptor:
         blocks = [3, 4, 6, 3]
     else:
         raise ShapeError(f"resnet depth {depth} is not 18 or 34")
-    net = NetworkDescriptor(f"resnet{depth}")
-    net.layers.append(NetLayer(
+    layers = [NetLayer(
         "conv1", LayerSpec(nif=147, nof=64, fs=1, h_out=112, w_out=112),
-        pools=("max2",), im2col=True))
+        pools=("max2",), im2col=True)]
     chans = [64, 128, 256, 512]
     sizes = [56, 28, 14, 7]
     c_in = 64
@@ -106,13 +125,13 @@ def make_resnet(depth: int) -> NetworkDescriptor:
         for b in range(n):
             for conv in (1, 2):
                 nif = c_in if (b == 0 and conv == 1) else c
-                net.layers.append(NetLayer(
+                layers.append(NetLayer(
                     f"conv{s+1}_{b+1}{'ab'[conv-1]}",
                     LayerSpec(nif=nif, nof=c, fs=3, h_out=hw, w_out=hw)))
         c_in = c
-    net.layers.append(NetLayer(
+    layers.append(NetLayer(
         "fc", LayerSpec(nif=512 * 7 * 7, nof=1000, fs=1, h_out=1, w_out=1)))
-    return net
+    return NetworkDescriptor(f"resnet{depth}", layers)
 
 
 MVGG_CHANNELS = [128, 128, 256, 256, 512, 512]
@@ -135,8 +154,7 @@ def make_mvgg(groups: int | str) -> NetworkDescriptor:
         if groups < 1 or (groups & (groups - 1)):
             raise ShapeError("group count must be a power of two")
         gcap = groups
-    name = "mvgg-f" if full else f"mvgg-{groups}"
-    net = NetworkDescriptor(name)
+    layers = []
     sizes = [32, 32, 16, 16, 8, 8]
     c_in = 3
     for i, (c, hw) in enumerate(zip(MVGG_CHANNELS, sizes), start=1):
@@ -150,13 +168,13 @@ def make_mvgg(groups: int | str) -> NetworkDescriptor:
             pools = ("max2",)
         elif i == 6:
             pools = ("max2", "avg2")
-        net.layers.append(NetLayer(
+        layers.append(NetLayer(
             f"conv{i}", LayerSpec(nif=c_in, nof=c, fs=3, h_out=hw, w_out=hw,
                                   d=d), pools=pools))
         c_in = c
-    net.layers.append(NetLayer(
+    layers.append(NetLayer(
         "fc", LayerSpec(nif=512 * 2 * 2, nof=10, fs=1, h_out=1, w_out=1)))
-    return net
+    return NetworkDescriptor("mvgg-f" if full else f"mvgg-{groups}", layers)
 
 
 def get_network(name: str) -> NetworkDescriptor:

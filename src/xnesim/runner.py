@@ -25,6 +25,7 @@ never serializes a layer). plan_layer serves the functional path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,6 +246,25 @@ class LayerRun:
         return sum(r.ops for r in self.results)
 
 
+def activation_layout(spec: LayerSpec, tp: int) -> int:
+    """Byte offset of a layer's output image from its input image in
+    l1. The input image comes first, then slack, the output image and
+    slack again: masked tail reads may run past an image, worst case
+    the whole banded walk plus one vector beyond the final pixel.
+    CapacityError when the four exceed l1, and PlanError where
+    plan_layer raises it. Closed form, so a layer that does not fit
+    is rejected before any of its data exists."""
+    _, n_out, _, band_step, span = _job_shape(spec, tp)
+    kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
+    slack = max(4 * tp, (kout_tiles * band_step + (kin_tiles + 1) * tp) // 8)
+    slack = (slack + 3) & ~3
+    y_offset = 4 * spec.h_in * spec.w_in * words_for_bits(spec.nif) + slack
+    y_bytes = 4 * spec.h_out * spec.w_out * words_for_bits(spec.nof)
+    if y_offset + y_bytes + slack > REGION_BYTES["l1"]:
+        raise CapacityError("activations exceed the core-coupled memory")
+    return y_offset
+
+
 def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
                   w: BinaryWeights, thr: ThresholdSpec,
                   mem: Memory | None = None) -> LayerRun:
@@ -256,20 +276,9 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
     mem = mem or Memory()
 
     x_base = mem.base("l1")
-    x_words = x.flat_words()
-    # masked tail reads may run past the image: worst case the whole
-    # banded walk plus one vector beyond the final pixel
-    slack = max(4 * cfg.tp,
-                max((j.geom.kout_tiles * j.geom.band_step
-                     + (j.geom.kin_tiles + 1) * cfg.tp) // 8
-                    for j in plan.jobs))
-    slack = (slack + 3) & ~3
-    y_base = x_base + 4 * len(x_words) + slack
+    y_base = x_base + activation_layout(spec, cfg.tp)
     y_words = spec.h_out * spec.w_out * words_for_bits(spec.nof)
-    y_end = y_base + 4 * y_words + slack
-    if y_end - mem.base("l1") > mem.regions["l1"].size:
-        raise CapacityError("activations exceed the core-coupled memory")
-    mem.write_words(x_base, x_words)
+    mem.write_words(x_base, x.flat_words())
 
     w_base = mem.base("sram")
     eng = Engine(cfg, mem)
@@ -376,6 +385,9 @@ class NetworkReport:
 
 
 def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
+    """CapacityError unless the descriptor's footprint, stored when it
+    was built, fits: its packed parameters in the mode's parameter
+    region, its activation peak in the shared on-chip memory."""
     cap = 8 * REGION_BYTES[PARAM_REGION[mode_region]]
     bits = net.packed_param_bits
     if bits > cap:
@@ -397,24 +409,26 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     EngineConfig(tp=tp)   # rejects a bad tp before check_fit
     check_fit(net, m.weights_region)
     f_hz = m.freq_mhz * 1e6
+    hyper = m.weights_region == "hyperram"
+    marshal = m.weights_region == "sram_marshal"
+    if hyper:
+        bits_per_s = cs.hyperram_bits_per_s
+    elif marshal:
+        bits_per_s = cs.marshal_bits_per_cycle * f_hz
+    else:
+        bits_per_s = math.inf   # resident parameters: no transfer
     rep = NetworkReport(net.name, mode, tp)
     for nl in net.layers:
         cost = layer_cost(nl.spec, tp)
-        compute_s = cost.cycles / f_hz
+        cycles = cost.cycles
+        compute_s = cycles / f_hz
         bits = nl.packed_param_bits
-        marshal_bits = bits if m.weights_region == "sram_marshal" else 0
-        hyper_bits = bits if m.weights_region == "hyperram" else 0
-        if m.weights_region == "hyperram":
-            transfer_s = bits / cs.hyperram_bits_per_s
-        elif m.weights_region == "sram_marshal":
-            transfer_s = bits / (cs.marshal_bits_per_cycle * f_hz)
-        else:
-            transfer_s = 0.0
+        transfer_s = bits / bits_per_s
         bound = "memory" if transfer_s > compute_s else "compute"
         sec = max(compute_s, transfer_s)
-        energy = account_energy(cost.ops, marshal_bits, hyper_bits,
-                                sec, mode, cs)
-        rep.rows.append(LayerRow(nl.name, cost.ops, bits, cost.cycles,
+        energy = account_energy(cost.ops, bits if marshal else 0,
+                                bits if hyper else 0, sec, mode, cs)
+        rep.rows.append(LayerRow(nl.name, cost.ops, bits, cycles,
                                  compute_s, transfer_s, bound, energy))
     return rep
 

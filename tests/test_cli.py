@@ -93,6 +93,14 @@ def test_run_layer_too_big_for_l1(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_run_layer_too_big_to_draw(capsys):
+    # rejected in closed form before its 2**64-pixel input is drawn
+    assert main(["run", "layer", "--nif", "1", "--nof", "1", "--fs", "1",
+                 "--h", "4294967296", "--w", "4294967296"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_run_net_unknown_network(capsys):
     assert main(["run", "net", "lenet", "--mode", "scm-0v4"]) == 3
 

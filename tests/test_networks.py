@@ -1,7 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from xnesim.errors import ShapeError
-from xnesim.networks import MVGG_CHANNELS, get_network, make_mvgg, make_resnet
+from xnesim.golden import LayerSpec
+from xnesim.networks import (MVGG_CHANNELS, NetLayer, NetworkDescriptor,
+                             get_network, make_mvgg, make_resnet)
+
+NETWORKS = ("resnet18", "resnet34", "mvgg-1", "mvgg-2", "mvgg-4", "mvgg-8",
+            "mvgg-f")
 
 
 def test_resnet18_op_count():
@@ -103,3 +110,39 @@ def test_layer_buffer_accounting():
     # the peak is exactly those two alive together
     assert net.activation_peak_bytes() == (conv1.output_buffer_bytes()
                                            + conv2.input_buffer_bytes())
+
+
+def _recomputed_footprint(layers) -> tuple[int, int]:
+    """(packed parameter bits, activation peak bytes) from the layer
+    geometry alone: words of 32 channel bits per pixel, halo'd inputs,
+    im2col inputs never resident."""
+    def image(c, h, w):
+        return h * w * -(-c // 32) * 4
+    bits = peak = 0
+    for i, l in enumerate(layers):
+        s = l.spec
+        bits += s.nof * (s.d or s.nif) * s.fs * s.fs + 8 * s.nof
+        out = image(s.nof, s.h_out, s.w_out)
+        x = image(s.nif, s.h_out + s.fs - 1, s.w_out + s.fs - 1)
+        peak = max(peak, out + (0 if l.im2col else x))
+        if i + 1 < len(layers):
+            n = layers[i + 1].spec
+            peak = max(peak, out + image(n.nif, n.h_out + n.fs - 1,
+                                         n.w_out + n.fs - 1))
+    return bits, peak
+
+
+@pytest.mark.parametrize("name", NETWORKS + ("big",))
+def test_footprint_fixed_at_construction(name):
+    if name == "big":    # a list argument, as callers may pass
+        net = NetworkDescriptor("big", [NetLayer(
+            "conv", LayerSpec(nif=512, nof=512, fs=3, h_out=96, w_out=96))])
+    else:
+        net = get_network(name)
+    assert isinstance(net.layers, tuple)
+    assert (net.packed_param_bits, net.activation_peak_bytes()) == \
+        _recomputed_footprint(net.layers)
+    for field, value in (("name", "other"), ("layers", ()),
+                         ("packed_param_bits", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(net, field, value)

@@ -9,8 +9,9 @@ from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
 from xnesim.golden import LayerSpec, random_layer_data
 from xnesim.memory import CoefficientSet, Memory
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
-from xnesim.runner import (check_fit, execute_layer, layer_cost, load_job,
-                           plan_layer, random_threshold_spec, run_network,
+from xnesim.runner import (activation_layout, check_fit, execute_layer,
+                           layer_cost, load_job, plan_layer,
+                           random_threshold_spec, run_network,
                            threshold_stream_bytes, verify_layers,
                            weight_stream_words)
 
@@ -268,6 +269,25 @@ def test_execute_layer_l1_capacity():
         execute_layer(CFG, spec, x, w, thr)
 
 
+def test_activation_layout_covers_every_job_tail():
+    # the output image starts past the input image and a slack that
+    # covers the longest masked tail read of any planned job: the
+    # whole banded walk plus one vector past the final pixel
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        spec = _grouped_spec(rng)
+        for tp in VALID_TPS:
+            try:
+                jobs = plan_layer(spec, tp).jobs
+            except PlanError:
+                continue
+            tail = max((j.geom.kout_tiles * j.geom.band_step
+                        + (j.geom.kin_tiles + 1) * tp) // 8 for j in jobs)
+            slack = -(-max(4 * tp, tail) // 4) * 4
+            x_bytes = 4 * spec.h_in * spec.w_in * -(-spec.nif // 32)
+            assert activation_layout(spec, tp) == x_bytes + slack, (spec, tp)
+
+
 def test_load_job_capacity():
     # the acceptance-8 stream (513 input tiles, 1 MiB) does not fit sram
     big = LayerSpec(nif=65550, nof=8, fs=1, h_out=1, w_out=1)
@@ -417,3 +437,51 @@ def test_leakage_term():
     rep = run_network(get_network("mvgg-f"), "scm-0v4", coeffs=cs)
     assert rep.energy.leakage_j == pytest.approx(rep.total_seconds * 2e-3)
 
+
+
+def _outcome(net, mode, tp):
+    """The rows and totals of one run, or the type and message of the
+    fit or planning error it raises."""
+    try:
+        rep = run_network(net, mode, tp=tp)
+    except (CapacityError, PlanError) as ex:
+        return type(ex), str(ex)
+    return (rep.rows, rep.total_ops, rep.total_cycles, rep.total_seconds,
+            rep.energy)
+
+
+def test_run_network_reads_stored_footprint(monkeypatch):
+    # the footprint is fixed when a descriptor is built: once built,
+    # no run asks a layer for its buffer sizes
+    nets = [get_network("resnet18"), get_network("mvgg-2")]
+    calls = [(net, mode, tp) for net in nets
+             for mode in sorted(CoefficientSet().modes) for tp in VALID_TPS]
+    want = [_outcome(*c) for c in calls]
+
+    def recomputed(self):
+        raise AssertionError("run_network recomputed a buffer size")
+
+    monkeypatch.setattr(NetLayer, "input_buffer_bytes", recomputed)
+    monkeypatch.setattr(NetLayer, "output_buffer_bytes", recomputed)
+    assert [_outcome(*c) for c in calls] == want
+
+
+def test_run_network_keeps_no_state_between_calls():
+    # two passes over every network x mode x tp, in two seeded orders,
+    # one building a fresh descriptor per call and one reusing a
+    # descriptor per network: any state a call leaves behind shows
+    calls = [(n, mode, tp) for n in NETWORKS
+             for mode in sorted(CoefficientSet().modes) for tp in VALID_TPS]
+    reused = {n: get_network(n) for n in NETWORKS}
+    passes = []
+    for seed, fresh in ((1, True), (2, False)):
+        got = {}
+        for k in np.random.default_rng(seed).permutation(len(calls)):
+            n, mode, tp = calls[k]
+            got[calls[k]] = _outcome(get_network(n) if fresh else reused[n],
+                                     mode, tp)
+        passes.append(got)
+    assert passes[0] == passes[1]
+    kinds = {o[0] if isinstance(o[0], type) else "fit"
+             for o in passes[0].values()}
+    assert kinds == {"fit", CapacityError, PlanError}
