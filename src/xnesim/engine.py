@@ -14,10 +14,13 @@ a three-phase pipeline per output tile:
 The model evaluates each job as a whole rather than cycle by cycle: it
 builds the job's whole offset stream (microcode.walk_offsets), reads
 every distinct weight block and feature vector once while charging the
-memory for every access the pipeline makes, accumulates with one exact
-matrix product per (output tile, inner step) over all pixels, clamps
-once (popcounts are >= 0, so that equals saturating after every step),
-then thresholds and stores every tile. The products rely on the walk
+memory for every access the pipeline makes, accumulates with one
+float32 matrix product per (output tile, inner step) over all pixels,
+clamps once (popcounts are >= 0, so that equals saturating after every
+step), then thresholds and stores every tile. Every accumulator value
+and every scaled threshold is an integer of magnitude at most 2**21,
+and float32 holds integers exactly below 2**24, so the float32 path is
+exact end to end. The products rely on the walk
 reading one weight block per (output tile, inner step) at every pixel;
 a walk that does not raises PlanError.
 Phase cycles are the closed-form phase_schedule, checked against the
@@ -214,25 +217,34 @@ class Engine:
         # For lane mask m and weights w, with p = m & ~w and n = m & w
         # (the bits that agree when x is 0, resp. 1):
         # popcount(~(x ^ w) & m) = sum(p) - x.(p - n), so each (ko, s)
-        # is one matrix product over all pixels. x.(p - n) sums at most
-        # tp values in {-1, 0, 1}: float32 is exact.
+        # is one matrix product over all pixels, subtracted from the
+        # lane's sum(p) over every s. Every value acc holds is then an
+        # integer in [0, n_inner*tp]. A job's weight blocks, tp lanes of
+        # n_inner*tp bits, lie in one region of at most 8 MiB, so
+        # n_inner*tp <= 2**21 (test_accumulator_bound_from_memory_map)
+        # and float32, exact below 2**24, holds every value exactly.
         m = job.masks[:, np.arange(n_inner) % g.kin_tiles]
         w = w_rows[w_of.reshape(w_off.shape)[0]].reshape(m.shape)
         p, n = m & ~w, m & w
-        agree_at_0 = np.bitwise_count(p).sum(axis=3, dtype=np.float32)
-        acc = np.zeros(w_off.shape[:2] + (tp,))
+        pixels = len(w_off)
+        acc = np.empty((g.kout_tiles, pixels, tp), dtype=np.float32)
+        acc[:] = np.bitwise_count(p).sum(axis=(1, 3))[:, None]
+        agree = np.empty((pixels, tp), dtype=np.float32)
         for k, s in np.ndindex(g.kout_tiles, n_inner):
             signed = (unpack_bits(p[k, s], tp).view(np.int8)
                       - unpack_bits(n[k, s], tp).view(np.int8))
-            agree = x[x_of[:, k, s]] @ signed.astype(np.float32).T
-            acc[:, k] += np.subtract(agree_at_0[k, s], agree, out=agree)
+            np.matmul(x[x_of[:, k, s]], signed.T.astype(np.float32),
+                      out=agree)
+            acc[k] -= agree
         if self.cfg.saturate:
             # popcounts are >= 0: one clamp equals a clamp per step
             np.minimum(acc, ACC_MAX, out=acc)
 
-        outputs = self._threshold_store(job, acc.reshape(-1, tp),
-                                        ko[::n_inner], offs[::n_inner, 2])
-        ops = 2 * len(w_off) * int(np.bitwise_count(m).sum())
+        # tiles in walk order: tile pixel*kout_tiles + ko is acc[ko, pixel]
+        outputs = self._threshold_store(
+            job, acc.swapaxes(0, 1).reshape(-1, tp), ko[::n_inner],
+            offs[::n_inner, 2])
+        ops = 2 * pixels * int(np.bitwise_count(m).sum())
         return JobResult(cycles=sched.total, ops=ops,
                          outputs_written=outputs, schedule=sched)
 
@@ -244,9 +256,11 @@ class Engine:
         tp = job.geom.tp
         thr_rows, thr_of = self.mem.gather(job.thr_base + ko * tp, tp)
         tau, lam_pos = decode_thresholds(thr_rows)
-        eff, lam_pos = (tau << job.shift)[thr_of], lam_pos[thr_of]
+        # |tau << shift| <= 64 << SHIFT_MAX = 2**21: exact in float32,
+        # like every accumulator value
+        eff = (tau << job.shift).astype(np.float32)[thr_of]
+        lam_pos = lam_pos[thr_of]
         v = job.valid_out[ko]
-        acc = acc.astype(np.int64)
         bits = (np.where(lam_pos, acc >= eff, acc <= eff)
                 & (np.arange(tp) < v[:, None]))  # invalid lanes emit zero
         # the sink drops bytes past the valid lanes

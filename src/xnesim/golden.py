@@ -240,20 +240,25 @@ def conv_popcounts(x: BinaryTensor, w: BinaryWeights,
     """Agreement counts pc[k, i, j] over each receptive field.
 
     Weights hold only the d_eff channels of each output's band. The
-    +/-1 sums are one float64 matrix product per tap, batched over the
-    bands; every partial sum is an integer below 2**53, so they are
-    exact.
+    +/-1 sums are one matrix product per tap, batched over the bands.
+    Every partial sum is an integer of magnitude at most n_acc, so
+    float32, exact below 2**24, is exact whenever n_acc < 2**24;
+    larger fields sum in float64, exact below 2**53.
     """
     check_layer_inputs(x, w, spec)
     g, d, fs = spec.groups, spec.d_eff, spec.fs
     h, wo = spec.h_out, spec.w_out
-    xb = x.to_bits().reshape(g, d, spec.h_in, spec.w_in)
+    dt = np.float32 if spec.n_acc < 2**24 else np.float64
+    xs = x.to_bits().reshape(g, d, spec.h_in, spec.w_in).astype(dt) * 2 - 1
+    # one contiguous (fs, fs, g, nof/g, d) slab: each tap's weights are
+    # one block, made +/-1 inside the loop
     wb = w.to_bits().reshape(g, spec.nof // g, d, fs, fs)
-    s = np.zeros((g, spec.nof // g, h * wo))
+    wb = np.ascontiguousarray(wb.transpose(3, 4, 0, 1, 2))
+    s = np.zeros((g, spec.nof // g, h * wo), dtype=dt)
     for fi in range(fs):
         for fj in range(fs):
-            win = xb[:, :, fi:fi + h, fj:fj + wo].reshape(g, d, h * wo)
-            s += (2.0 * wb[..., fi, fj] - 1.0) @ (2.0 * win - 1.0)
+            win = xs[:, :, fi:fi + h, fj:fj + wo].reshape(g, d, h * wo)
+            s += (wb[fi, fj].astype(dt) * 2 - 1) @ win
     return (s.reshape(spec.nof, h, wo).astype(np.int64) + spec.n_acc) // 2
 
 

@@ -205,6 +205,37 @@ def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class StreamLayout:
+    """Closed-form size of a layer's parameters in memory: each of its
+    jobs stores weight_bytes of weight stream (kout_tiles * fs * fs *
+    kin_tiles blocks of tp*tp bits, remainder tiles padded), then
+    thr_bytes of thresholds (kout_tiles * tp, one byte per lane)."""
+
+    jobs: int
+    weight_bytes: int
+    thr_bytes: int
+
+    @property
+    def job_bytes(self) -> int:
+        return self.weight_bytes + self.thr_bytes
+
+    @property
+    def total_bytes(self) -> int:
+        return self.jobs * self.job_bytes
+
+
+def stream_layout(spec: LayerSpec, tp: int) -> StreamLayout:
+    """The StreamLayout of plan_layer(spec, tp), without planning it;
+    PlanError where plan_layer raises it. Every job of a layer shares
+    one geometry, so one job's sizes hold for all."""
+    n_jobs, n_out, _, _, span = _job_shape(spec, tp)
+    kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
+    return StreamLayout(n_jobs,
+                        kout_tiles * spec.fs ** 2 * kin_tiles * tp * tp // 8,
+                        kout_tiles * tp)
+
+
 def load_job(mem: Memory, job: JobPlan, spec: LayerSpec, w: BinaryWeights,
              thr: ThresholdSpec, w_base: int, x_base: int,
              y_base: int) -> JobDescriptor:
@@ -213,14 +244,14 @@ def load_job(mem: Memory, job: JobPlan, spec: LayerSpec, w: BinaryWeights,
     x_base and y_base are the layer's input and output images; the
     job's bit offsets into them are added here. CapacityError when the
     region holding w_base cannot hold stream and thresholds; both sizes
-    are closed-form, so a job that cannot fit builds nothing."""
-    g = job.geom
-    stream_bytes = g.kout_tiles * g.fs * g.fs * g.kin_tiles * g.tp * g.tp // 8
+    are closed-form (stream_layout), so a job that cannot fit builds
+    nothing."""
+    streams = stream_layout(spec, job.geom.tp)
     region = mem.region_of(w_base, 0)
-    if not region.contains(w_base, stream_bytes + g.kout_tiles * g.tp):
+    if not region.contains(w_base, streams.job_bytes):
         raise CapacityError(f"weight stream and thresholds exceed "
                             f"the {region.name} region")
-    thr_base = w_base + stream_bytes
+    thr_base = w_base + streams.weight_bytes
     mem.write_words(w_base, weight_stream_words(job, spec, w))
     mem.write(thr_base, threshold_stream_bytes(job, thr))
     return JobDescriptor(
@@ -265,6 +296,19 @@ def activation_layout(spec: LayerSpec, tp: int) -> int:
     return y_offset
 
 
+def layer_layout(spec: LayerSpec, tp: int) -> tuple[int, StreamLayout]:
+    """Where execute_layer puts a layer: the activation_layout offset
+    of its output image in l1, and the stream_layout of its jobs, laid
+    end to end from the base of sram. CapacityError when either does
+    not fit, before any of the layer's data exists."""
+    y_offset = activation_layout(spec, tp)
+    streams = stream_layout(spec, tp)
+    if streams.total_bytes > REGION_BYTES["sram"]:
+        raise CapacityError("weight stream and thresholds exceed "
+                            "the sram region")
+    return y_offset, streams
+
+
 def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
                   w: BinaryWeights, thr: ThresholdSpec,
                   mem: Memory | None = None) -> LayerRun:
@@ -275,17 +319,17 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
     plan = plan_layer(spec, cfg.tp)
     mem = mem or Memory()
 
+    y_offset, streams = layer_layout(spec, cfg.tp)
     x_base = mem.base("l1")
-    y_base = x_base + activation_layout(spec, cfg.tp)
+    y_base = x_base + y_offset
     y_words = spec.h_out * spec.w_out * words_for_bits(spec.nof)
     mem.write_words(x_base, x.flat_words())
 
-    w_base = mem.base("sram")
     eng = Engine(cfg, mem)
     runs = []
-    for job in plan.jobs:
+    for i, job in enumerate(plan.jobs):
+        w_base = mem.base("sram") + i * streams.job_bytes  # word aligned
         desc = load_job(mem, job, spec, w, thr, w_base, x_base, y_base)
-        w_base = desc.thr_base + job.geom.kout_tiles * cfg.tp  # word aligned
         runs.append(eng.run_next(desc))
 
     out_words = mem.read_words(y_base, y_words).reshape(

@@ -101,6 +101,20 @@ def test_run_layer_too_big_to_draw(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_run_layer_stream_too_big_draws_nothing(capsys, monkeypatch):
+    # 4096 x 4096 weights fit l1's activations but not the sram stream:
+    # rejected in closed form before any weight is drawn
+    def no_draw(*_):
+        raise AssertionError("drew layer data")
+
+    monkeypatch.setattr(cli, "random_layer_data", no_draw)
+    assert main(["run", "layer", "--nif", "4096", "--nof", "4096",
+                 "--fs", "1", "--h", "1", "--w", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sram" in err
+
+
 def test_run_net_unknown_network(capsys):
     assert main(["run", "net", "lenet", "--mode", "scm-0v4"]) == 3
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from xnesim import engine
-from xnesim.engine import (ACC_MAX, Engine, EngineConfig, JobDescriptor,
-                           decode_thresholds, encode_thresholds,
-                           phase_schedule, run_single_job)
+from xnesim.engine import (ACC_MAX, VALID_TPS, Engine, EngineConfig,
+                           JobDescriptor, decode_thresholds,
+                           encode_thresholds, phase_schedule, run_single_job)
 from xnesim.errors import PlanError, RegionError, ShapeError
-from xnesim.golden import (LayerSpec, ThresholdSpec, layer_golden,
-                           random_layer_data)
-from xnesim.memory import Memory
+from xnesim.golden import (SHIFT_MAX, TAU_Q_MIN, LayerSpec, ThresholdSpec,
+                           layer_golden, random_layer_data)
+from xnesim.memory import Memory, default_memory_map
 from xnesim.runner import (execute_layer, load_job, plan_layer,
-                           random_threshold_spec)
+                           random_threshold_spec, stream_layout)
 
 
 # --- threshold byte ----------------------------------------------------
@@ -110,7 +110,7 @@ def test_engine_matches_golden(spec):
     assert np.array_equal(run.output.to_bits(), want.to_bits())
 
 
-@pytest.mark.parametrize("tp", [32, 64, 256])
+@pytest.mark.parametrize("tp", [32, 64, 256, 512])
 def test_engine_matches_golden_other_tp(tp):
     spec = LayerSpec(nif=70, nof=50, fs=3, h_out=3, w_out=3)
     rng = np.random.default_rng(tp)
@@ -282,3 +282,30 @@ def test_schedule_helper_direct():
     j = plan.jobs[0]
     s = phase_schedule(128, 3, 4, j.geom.kin_tiles, j.geom.kout_tiles, 128)
     assert s.total == plan.cycles(EngineConfig(tp=128))
+
+
+# --- float32 exactness --------------------------------------------------
+
+def test_accumulator_bound_from_memory_map():
+    # A lane sums n_inner*tp bits per pixel into a float32 accumulator,
+    # exact while every value stays below 2**24. The job's weight
+    # stream, tp lanes or more of n_inner*tp bits each, must fit one
+    # region (load_job), so the largest region at the smallest tp
+    # bounds n_inner*tp.
+    regions = {r.name: r.size for r in default_memory_map()}
+    bound = 8 * max(regions.values()) // min(VALID_TPS)
+    assert bound == 2**21 < 2**24
+    # The input image, at least n_acc bits, must fit l1
+    # (activation_layout): the receptive field of any layer that
+    # execute_layer runs is below 2**24 too.
+    assert 8 * regions["l1"] < 2**24
+    # the bound is tight to one word: one tile of 32 lanes whose lanes
+    # sum bound - 32 bits fits the largest region, bound bits do not
+    for nif, fits in ((bound - 32, True), (bound, False)):
+        streams = stream_layout(LayerSpec(nif=nif, nof=32, fs=1, h_out=1,
+                                          w_out=1), 32)
+        assert 8 * streams.weight_bytes // 32 == nif
+        assert (streams.job_bytes <= max(regions.values())) == fits
+    # the scaled thresholds the accumulators are compared with
+    assert -TAU_Q_MIN << SHIFT_MAX == 2**21
+

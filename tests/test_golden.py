@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from xnesim import golden
@@ -48,6 +49,45 @@ def test_conv_popcounts_match_naive(spec):
     rng = np.random.default_rng(hash((spec.nif, spec.nof, spec.fs)) % 2**31)
     x, w = golden.random_layer_data(rng, spec)
     assert np.array_equal(conv_popcounts(x, w, spec), naive_popcounts(x, w, spec))
+
+
+def int_popcounts(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):
+    """Independent oracle: +/-1 int64 sums over sliding windows."""
+    g, d, fs = spec.groups, spec.d_eff, spec.fs
+    xs = 2 * x.to_bits().astype(np.int64) - 1
+    ws = 2 * w.to_bits().astype(np.int64) - 1
+    win = sliding_window_view(xs, (fs, fs), axis=(1, 2))
+    s = np.einsum("gkcab,gcijab->gkij",
+                  ws.reshape(g, spec.nof // g, d, fs, fs),
+                  win.reshape(g, d, spec.h_out, spec.w_out, fs, fs))
+    return (s.reshape(spec.nof, spec.h_out, spec.w_out) + spec.n_acc) // 2
+
+
+INT_CASES = {
+    "dense": LayerSpec(nif=300, nof=70, fs=3, h_out=6, w_out=5),
+    "dense-odd": LayerSpec(nif=301, nof=8, fs=3, h_out=2, w_out=2),
+    "folded-band": LayerSpec(nif=96, nof=96, fs=3, h_out=4, w_out=4, d=1),
+    "npg>1": LayerSpec(nif=64, nof=128, fs=1, h_out=5, w_out=3, d=8),
+    "fs5": LayerSpec(nif=130, nof=40, fs=5, h_out=3, w_out=4),
+    "fs5-banded": LayerSpec(nif=48, nof=24, fs=5, h_out=2, w_out=2, d=4),
+}
+
+
+@pytest.mark.parametrize("name", INT_CASES)
+def test_conv_popcounts_match_int_reference(name):
+    # uniform bits keep the +/-1 sums near 0; bits that are 1 with
+    # probability 0.98 push them towards n_acc, where an inexact float
+    # type would round
+    spec = INT_CASES[name]
+    rng = np.random.default_rng(list(INT_CASES).index(name))
+    for p_one in (0.5, 0.98):
+        x = BinaryTensor.from_bits(
+            rng.random((spec.nif, spec.h_in, spec.w_in)) < p_one)
+        w = BinaryWeights.from_bits(
+            rng.random((spec.nof, spec.d_eff, spec.fs, spec.fs)) < p_one)
+        pc = conv_popcounts(x, w, spec)
+        assert pc.dtype == np.int64
+        assert np.array_equal(pc, int_popcounts(x, w, spec)), p_one
 
 
 def test_popcount_range():

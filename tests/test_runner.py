@@ -9,11 +9,12 @@ from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
 from xnesim.golden import LayerSpec, random_layer_data
 from xnesim.memory import CoefficientSet, Memory
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
+from xnesim.golden import layer_golden
 from xnesim.runner import (activation_layout, check_fit, execute_layer,
                            layer_cost, load_job, plan_layer,
                            random_threshold_spec, run_network,
-                           threshold_stream_bytes, verify_layers,
-                           weight_stream_words)
+                           stream_layout, threshold_stream_bytes,
+                           verify_layers, weight_stream_words)
 
 CFG = EngineConfig(tp=128)
 
@@ -144,6 +145,56 @@ def test_layer_cost_equals_plan_on_grouped_sweep():
             kinds |= _kinds(spec, tp)
     assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
                      "npg>1", "PlanError"}
+
+
+def test_mvgg2_runs_functionally_at_tp512():
+    # every MVGG-2 layer on the engine at the widest tp: bit-equal to
+    # the golden model, with the closed-form cycles and ops
+    rng = np.random.default_rng(512)
+    cfg = EngineConfig(tp=512)
+    for nl in get_network("mvgg-2").layers:
+        x, w = random_layer_data(rng, nl.spec)
+        thr = random_threshold_spec(rng, nl.spec)
+        run = execute_layer(cfg, nl.spec, x, w, thr)
+        want = layer_golden(x, w, nl.spec, thr)
+        assert np.array_equal(run.output.to_bits(), want.to_bits()), nl.name
+        cost = layer_cost(nl.spec, 512)
+        assert (run.cycles, run.ops) == (cost.cycles, cost.ops), nl.name
+
+
+def test_stream_layout_equals_built_streams():
+    rng = np.random.default_rng(20261019)
+    for _ in range(30):
+        spec = _grouped_spec(rng)
+        _, w = random_layer_data(rng, spec)
+        thr = random_threshold_spec(rng, spec)
+        for tp in VALID_TPS:
+            try:
+                jobs = plan_layer(spec, tp).jobs
+            except PlanError:
+                continue
+            streams = stream_layout(spec, tp)
+            assert streams.jobs == len(jobs), (spec, tp)
+            for job in jobs:
+                assert (4 * len(weight_stream_words(job, spec, w)),
+                        len(threshold_stream_bytes(job, thr))) == (
+                    streams.weight_bytes, streams.thr_bytes), (spec, tp)
+
+
+def test_execute_layer_rejects_streams_before_writing():
+    # each of the two per-band jobs fits sram (288 KiB), both do not:
+    # the layer is rejected before its first job touches memory
+    spec = LayerSpec(nif=2048, nof=512, fs=3, h_out=1, w_out=1, d=1024)
+    streams = stream_layout(spec, 128)
+    assert streams.jobs == 2 and streams.job_bytes < 448 * 1024
+    assert streams.total_bytes > 448 * 1024
+    rng = np.random.default_rng(5)
+    x, w = random_layer_data(rng, spec)
+    thr = random_threshold_spec(rng, spec)
+    mem = Memory()
+    with pytest.raises(CapacityError, match="sram"):
+        execute_layer(CFG, spec, x, w, thr, mem)
+    assert all(v == 0 for t in mem.traffic.values() for v in t.values())
 
 
 MASK_SPECS = [
