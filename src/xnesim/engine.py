@@ -13,16 +13,23 @@ a three-phase pipeline per output tile:
 
 The model evaluates each job as a whole rather than cycle by cycle: it
 builds the job's whole offset stream (microcode.walk_offsets), reads
-every distinct weight block and feature vector once while charging the
-memory for every access the pipeline makes, accumulates with one
-float32 matrix product per (output tile, inner step) over all pixels,
-clamps once (popcounts are >= 0, so that equals saturating after every
-step), then thresholds and stores every tile. Every accumulator value
-and every scaled threshold is an integer of magnitude at most 2**21,
-and float32 holds integers exactly below 2**24, so the float32 path is
-exact end to end. The products rely on the walk
-reading one weight block per (output tile, inner step) at every pixel;
-a walk that does not raises PlanError.
+every distinct feature vector once, and every weight block and
+threshold row once per job, while charging the memory for every access
+the pipeline makes (a weight block or threshold row once per pixel).
+It accumulates with one float32 matrix product per (output tile, inner
+step) over all pixels, clamps once (popcounts are >= 0, so that equals
+saturating after every step), then thresholds and stores every tile.
+Each product covers only the live box of its mask tile: the lanes from
+the first to the last that has a mask bit, and the bits from the first
+to the last that any lane has. The box is taken from the masks, so it
+is exact for any descriptor: outside it the mask is zero, and a masked
+bit adds nothing to a popcount. A tile with no mask bit is skipped.
+Every accumulator value and every scaled threshold is an integer of
+magnitude at most 2**21, and float32 holds integers exactly below
+2**24, so the float32 path is exact end to end. The weights are read
+once per job because the walk reads one weight block per (output
+tile, inner step) at every pixel; a walk that does not raises
+PlanError.
 Phase cycles are the closed-form phase_schedule, checked against the
 accumulate cycles of the walk.
 
@@ -205,10 +212,12 @@ class Engine:
             raise PlanError(f"microcode walk reads other weight blocks at "
                             f"pixel {moved.argmax()} than at pixel 0")
 
-        # one fetch per distinct weight block and feature vector; every
-        # step's access is still checked and charged
-        w_rows, w_of = mem.gather_words(job.w_base + offs[:, 0] // 8,
-                                        tp * tp // 32)
+        # one fetch per distinct feature vector, and of pixel 0's weight
+        # blocks, which are every pixel's; every access is still
+        # checked, and charged once per step that makes it
+        pixels = len(w_off)
+        w_rows, w_of = mem.gather_words(job.w_base + w_off[0].ravel() // 8,
+                                        tp * tp // 32, pixels)
         x_rows, x_of = mem.gather_words(job.x_base + offs[:, 1] // 8,
                                         tp // 32)
         x = unpack_bits(x_rows, tp).astype(np.float32)
@@ -218,55 +227,75 @@ class Engine:
         # (the bits that agree when x is 0, resp. 1):
         # popcount(~(x ^ w) & m) = sum(p) - x.(p - n), so each (ko, s)
         # is one matrix product over all pixels, subtracted from the
-        # lane's sum(p) over every s. Every value acc holds is then an
-        # integer in [0, n_inner*tp]. A job's weight blocks, tp lanes of
-        # n_inner*tp bits, lie in one region of at most 8 MiB, so
-        # n_inner*tp <= 2**21 (test_accumulator_bound_from_memory_map)
-        # and float32, exact below 2**24, holds every value exactly.
+        # lane's sum(p) over every s. p and n are 0 wherever m is 0,
+        # so each product covers only the live box of its mask tile:
+        # the lanes from the first to the last with a mask bit, the
+        # bits from the first to the last any lane has. Every value acc
+        # holds is an integer in [0, n_inner*tp]. A job's weight
+        # blocks, tp lanes of n_inner*tp bits, lie in one region of at
+        # most 8 MiB, so n_inner*tp <= 2**21
+        # (test_accumulator_bound_from_memory_map) and float32, exact
+        # below 2**24, holds every value exactly.
         m = job.masks[:, np.arange(n_inner) % g.kin_tiles]
-        w = w_rows[w_of.reshape(w_off.shape)[0]].reshape(m.shape)
+        w = w_rows[w_of].reshape(m.shape)
         p, n = m & ~w, m & w
-        pixels = len(w_off)
         acc = np.empty((g.kout_tiles, pixels, tp), dtype=np.float32)
         acc[:] = np.bitwise_count(p).sum(axis=(1, 3))[:, None]
-        agree = np.empty((pixels, tp), dtype=np.float32)
+        boxes = [[_live_box(tile) for tile in tiles] for tiles in job.masks]
         for k, s in np.ndindex(g.kout_tiles, n_inner):
-            signed = (unpack_bits(p[k, s], tp).view(np.int8)
-                      - unpack_bits(n[k, s], tp).view(np.int8))
-            np.matmul(x[x_of[:, k, s]], signed.T.astype(np.float32),
-                      out=agree)
-            acc[k] -= agree
+            box = boxes[k][s % g.kin_tiles]
+            if box is None:
+                continue
+            lanes, b0, b1 = box
+            signed = (unpack_bits(p[k, s, lanes], b1).view(np.int8)
+                      - unpack_bits(n[k, s, lanes], b1).view(np.int8))
+            acc[k, :, lanes] -= (x[x_of[:, k, s], b0:b1]
+                                 @ signed[:, b0:].T.astype(np.float32))
         if self.cfg.saturate:
             # popcounts are >= 0: one clamp equals a clamp per step
             np.minimum(acc, ACC_MAX, out=acc)
 
-        # tiles in walk order: tile pixel*kout_tiles + ko is acc[ko, pixel]
-        outputs = self._threshold_store(
-            job, acc.swapaxes(0, 1).reshape(-1, tp), ko[::n_inner],
-            offs[::n_inner, 2])
+        outputs = self._threshold_store(job, acc, offs[::n_inner, 2])
         ops = 2 * pixels * int(np.bitwise_count(m).sum())
         return JobResult(cycles=sched.total, ops=ops,
                          outputs_written=outputs, schedule=sched)
 
     def _threshold_store(self, job: JobDescriptor, acc: np.ndarray,
-                         ko: np.ndarray, y_off: np.ndarray) -> int:
-        """Threshold every tile's accumulators (tile t is output tile
-        ko[t], stored at bit offset y_off[t]) and write its valid lanes'
-        bytes; returns the number of output bits written."""
-        tp = job.geom.tp
-        thr_rows, thr_of = self.mem.gather(job.thr_base + ko * tp, tp)
-        tau, lam_pos = decode_thresholds(thr_rows)
+                         y_off: np.ndarray) -> int:
+        """Threshold the (kout_tiles, pixels, tp) accumulators and write
+        every tile's valid lanes' bytes, tiles in walk order (tile
+        pixel*kout_tiles + ko, stored at bit offset y_off[tile]);
+        returns the number of output bits written."""
+        kout_tiles, pixels, tp = acc.shape
+        # each output tile's threshold row, charged once per pixel
+        thr_rows, thr_of = self.mem.gather(
+            job.thr_base + np.arange(kout_tiles) * tp, tp, pixels)
+        tau, lam_pos = decode_thresholds(thr_rows[thr_of][:, None])
         # |tau << shift| <= 64 << SHIFT_MAX = 2**21: exact in float32,
         # like every accumulator value
-        eff = (tau << job.shift).astype(np.float32)[thr_of]
-        lam_pos = lam_pos[thr_of]
-        v = job.valid_out[ko]
+        eff = (tau << job.shift).astype(np.float32)
+        # invalid lanes emit zero
         bits = (np.where(lam_pos, acc >= eff, acc <= eff)
-                & (np.arange(tp) < v[:, None]))  # invalid lanes emit zero
+                & (np.arange(tp) < job.valid_out[:, None, None]))
+        v = np.tile(job.valid_out, pixels)      # valid lanes per tile
         # the sink drops bytes past the valid lanes
         self.mem.scatter(job.y_base + y_off // 8,
-                         pack_bits(bits).view(np.uint8), (v + 7) // 8)
+                         pack_bits(bits.swapaxes(0, 1).reshape(-1, tp))
+                         .view(np.uint8), (v + 7) // 8)
         return int(v.sum())
+
+
+def _live_box(masks: np.ndarray) -> tuple[slice, int, int] | None:
+    """The live box of one (tp, tp//32) mask tile: (lanes, b0, b1), the
+    lanes from the first to the last with a mask bit and the bits
+    [b0, b1) from the first to the last that any lane has; None when
+    the tile has no mask bit."""
+    lanes = np.flatnonzero(masks.any(axis=1))
+    if not len(lanes):
+        return None
+    bits = np.flatnonzero(unpack_bits(np.bitwise_or.reduce(masks),
+                                      32 * masks.shape[1]))
+    return slice(lanes[0], lanes[-1] + 1), int(bits[0]), int(bits[-1]) + 1
 
 
 def run_single_job(cfg: EngineConfig, mem: Memory,

@@ -116,10 +116,12 @@ class Memory:
                               f"+{int(nbytes[i])})")
         return out
 
-    def gather(self, addrs, nbytes: int) -> tuple[np.ndarray, np.ndarray]:
-        """read(a, nbytes) for every address a of addrs, fetching each
-        distinct address once: (rows, inverse), the distinct addresses'
-        bytes as a (k, nbytes) uint8 array and, per access, its row."""
+    def gather(self, addrs, nbytes: int, repeat: int = 1
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """read(a, nbytes), *repeat* times over, for every address a of
+        addrs, fetching each distinct address once: (rows, inverse),
+        the distinct addresses' bytes as a (k, nbytes) uint8 array and,
+        per access, its row."""
         addrs = np.asarray(addrs, dtype=np.int64)
         located = self._locate(addrs, np.full(len(addrs), nbytes))
         uniq, first, inverse = np.unique(addrs, return_index=True,
@@ -127,14 +129,14 @@ class Memory:
         rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
         for r, mine in located:
             self.traffic[r.name]["read_bits"] += (
-                8 * nbytes * int(np.count_nonzero(mine)))
+                8 * nbytes * repeat * int(np.count_nonzero(mine)))
             if r.name in self._buf:
                 sel = mine[first]
                 rows[sel] = sliding_window_view(
                     self._buf[r.name], nbytes)[uniq[sel] - r.base]
         return rows, inverse
 
-    def gather_words(self, addrs, nwords: int
+    def gather_words(self, addrs, nwords: int, repeat: int = 1
                      ) -> tuple[np.ndarray, np.ndarray]:
         """read_words(a, nwords) for every address a of addrs, as
         gather() does: rows are (k, nwords) uint32."""
@@ -143,7 +145,7 @@ class Memory:
         if len(unaligned):
             raise RegionError(f"word access at unaligned "
                               f"{int(addrs[unaligned[0]]):#x}")
-        rows, inverse = self.gather(addrs, 4 * nwords)
+        rows, inverse = self.gather(addrs, 4 * nwords, repeat)
         return rows.view("<u4").astype(np.uint32), inverse
 
     def scatter(self, addrs, rows: np.ndarray, nbytes) -> None:

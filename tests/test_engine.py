@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from xnesim.errors import PlanError, RegionError, ShapeError
 from xnesim.golden import (SHIFT_MAX, TAU_Q_MIN, LayerSpec, ThresholdSpec,
                            layer_golden, random_layer_data)
 from xnesim.memory import Memory, default_memory_map
-from xnesim.runner import (execute_layer, load_job, plan_layer,
-                           random_threshold_spec, stream_layout)
+from xnesim.microcode import reference_program, ucode_registers, walk_offsets
+from xnesim.runner import (activation_layout, execute_layer, load_job,
+                           plan_layer, random_threshold_spec, stream_layout)
 
 
 # --- threshold byte ----------------------------------------------------
@@ -130,6 +132,81 @@ def test_ops_exactness():
             per_pass = int(np.bitwise_count(job.masks()).sum())
             total += 2 * spec.fs * spec.fs * spec.h_out * spec.w_out * per_pass
         assert total == spec.ops
+
+
+def _unpack(a):
+    return np.unpackbits(np.asarray(a).view(np.uint8), axis=-1,
+                         bitorder="little").astype(bool)
+
+
+def _oracle_run(mem, job):
+    """The job one walk step at a time on unpacked bits: every lane of
+    a tile sums popcount(~(x ^ w) & m) over its steps, then the tile
+    reads its threshold row and writes its valid lanes' bytes. Returns
+    the accumulators, one row per tile in walk order."""
+    g, tp = job.geom, job.geom.tp
+    offs = walk_offsets(reference_program(), ucode_registers(g))
+    n_inner = g.fs * g.fs * g.kin_tiles
+    m = _unpack(job.masks)                    # (ko, ki, lane, bit)
+    accs = []
+    for t, first in enumerate(range(0, len(offs), n_inner)):
+        ko = t % g.kout_tiles
+        acc = np.zeros(tp, dtype=np.int64)
+        for s in range(n_inner):
+            w_off, x_off, _ = (int(o) // 8 for o in offs[first + s])
+            x = _unpack(mem.read(job.x_base + x_off, tp // 8))
+            w = _unpack(mem.read(job.w_base + w_off, tp * tp // 8))
+            acc += (~(x ^ w.reshape(tp, tp)) & m[ko, s % g.kin_tiles]).sum(1)
+        tau, lam_pos = decode_thresholds(mem.read(job.thr_base + ko * tp, tp))
+        eff = tau << job.shift
+        bits = np.where(lam_pos, acc >= eff, acc <= eff)
+        v = int(job.valid_out[ko])
+        mem.write(job.y_base + int(offs[first, 2]) // 8,
+                  np.packbits(bits[:v], bitorder="little"))
+        accs.append(acc)
+    return np.array(accs)
+
+
+@pytest.mark.parametrize("tp", [32, 128])
+def test_masks_with_holes_match_per_lane_oracle(tp):
+    # two output and two input tiles; the masks have holes the planner
+    # never makes, so any box not taken from the masks themselves
+    # drops or adds bits
+    spec = LayerSpec(nif=2 * tp - 7, nof=tp + 9, fs=3, h_out=3, w_out=4)
+    rng = np.random.default_rng(tp)
+    x, w = random_layer_data(rng, spec)
+    mem = Memory()
+    l1 = mem.base("l1")
+    mem.write_words(l1, x.flat_words())
+    [plan] = plan_layer(spec, tp).jobs
+    job = load_job(mem, plan, spec, w, random_threshold_spec(rng, spec),
+                   mem.base("sram"), l1, l1 + activation_layout(spec, tp))
+    masks = job.masks.copy()
+    masks[0, 0] = 0                   # live bits 0 and tp-1 only, in
+    masks[0, 0, 3:-2, 0] = 1          # lanes 3 to tp-3; lane 3 has
+    masks[0, 0, 4:-2, -1] |= np.uint32(1 << 31)     # bit 0 alone
+    masks[0, 1, 5] = 0                # a valid lane with no mask bit
+    masks[1, 1] = 0                   # a tile with no mask bit
+    job = dataclasses.replace(job, masks=masks)
+    assert job.valid_out.tolist() == [tp, 9]
+    # thresholds at each channel's median popcount, both directions
+    acc = _oracle_run(copy.deepcopy(mem), job).reshape(-1, 2 * tp)
+    med = np.median(acc, axis=0).astype(np.int64)
+    shift = max(0, int(med.max()).bit_length() - 6)
+    thr = ThresholdSpec(med >> shift, np.arange(2 * tp) % 3 > 0, shift)
+    mem.write(job.thr_base, encode_thresholds(thr))
+    job = dataclasses.replace(job, shift=shift)
+
+    want = copy.deepcopy(mem)
+    _oracle_run(want, job)
+    res = run_single_job(EngineConfig(tp=tp), mem, job)
+    assert mem.traffic == want.traffic
+    size = mem.regions["l1"].size
+    assert np.array_equal(mem.read(l1, size), want.read(l1, size))
+    y = want.read(job.y_base, 4 * 12 * ((tp + 9 + 31) // 32))
+    assert 0 < np.bitwise_count(y).sum() < 12 * (tp + 9)
+    sched = phase_schedule(tp, 3, 12, 2, 2, tp + 9)
+    assert res.schedule == sched and res.cycles == sched.total
 
 
 # --- job control --------------------------------------------------------

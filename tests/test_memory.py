@@ -79,6 +79,13 @@ def test_gather_and_scatter_equal_single_accesses():
     assert np.array_equal(got[inverse],
                           [one.read_words(a, 3) for a in reads.tolist()])
     assert many.traffic == one.traffic
+    # a repeat count charges every access that many times over
+    again, inverse = many.gather_words(reads, 3, 5)
+    for _ in range(5):
+        for a in reads.tolist():
+            one.read_words(a, 3)
+    assert np.array_equal(again[inverse], got[inverse])
+    assert many.traffic == one.traffic
 
 
 def test_gather_and_scatter_name_the_first_bad_access():
@@ -90,6 +97,12 @@ def test_gather_and_scatter_name_the_first_bad_access():
         m.gather_words([scm, scm + 2], 1)
     with pytest.raises(RegionError, match=f"{end - 2:#x}, \\+3"):
         m.scatter([scm, end - 2], np.zeros((2, 4), dtype=np.uint8), [4, 3])
+    # with a repeat count too, and before anything is charged
+    with pytest.raises(RegionError, match=f"{end - 4:#x}, \\+8"):
+        m.gather([scm, end - 4, 0x0], 8, 3)
+    with pytest.raises(RegionError, match=f"unaligned {scm + 2:#x}"):
+        m.gather_words([scm, scm + 2], 1, 3)
+    assert m.traffic == Memory().traffic
 
 
 @given(st.integers(0, 3), st.integers(0, 97), st.data())
