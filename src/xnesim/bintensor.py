@@ -22,6 +22,11 @@ def _check_dim(name, v):
         raise ShapeError(f"{name} must be a positive integer, got {v!r}")
 
 
+def image_bytes(c: int, h: int, w: int) -> int:
+    """Bytes of a packed (c, h, w) image: h*w pixels of whole words."""
+    return 4 * h * w * words_for_bits(c)
+
+
 def _payload(words, shape: tuple) -> np.ndarray:
     """Zero words of *shape*, or *words* checked to have it."""
     if words is None:

@@ -31,7 +31,7 @@ from .memory import CoefficientSet, load_coefficients
 from .microcode import (disassemble, parse_program, program_to_yaml,
                         reference_program)
 from .networks import get_network
-from .runner import (execute_layer, layer_layout, random_threshold_spec,
+from .runner import (execute_layer, layer_cost, random_threshold_spec,
                      run_network, verify_layers)
 
 EXIT_PARSE = 3
@@ -88,7 +88,7 @@ def cmd_run_layer(args) -> int:
                      h_out=args.h, w_out=args.w, d=args.d)
     cfg = EngineConfig(tp=args.tp)
     rng = np.random.default_rng(_seed(args))
-    layer_layout(spec, cfg.tp)   # a layer too big draws no data
+    layer_cost(spec, cfg.tp).check_buffers()   # a layer too big draws no data
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
     run = execute_layer(cfg, spec, x, w, thr)

@@ -72,10 +72,6 @@ class EngineConfig:
         if self.tp not in VALID_TPS:
             raise ShapeError(f"tp must be one of {VALID_TPS}")
 
-    @property
-    def ports(self) -> int:
-        return self.tp // 32
-
 
 def encode_thresholds(thr: ThresholdSpec) -> np.ndarray:
     """One byte per output channel, in channel order."""
@@ -159,12 +155,11 @@ def phase_schedule(tp: int, fs: int, pixels: int, kin_tiles: int,
     blocks_per_tile = fs * fs * kin_tiles
     n_tiles = pixels * kout_tiles
     n_blocks = n_tiles * blocks_per_tile
-    ports = tp // 32
-    thr_fetch = (tp * 8 + 32 * ports - 1) // (32 * ports)
     return PhaseSchedule(
         feature_load=n_blocks * (STREAM_SETUP + 1),
         accumulate=pixels * blocks_per_tile * valid_lanes,
-        threshold=n_tiles * (STREAM_SETUP + thr_fetch + 1 + 1),
+        # tp threshold bytes over tp/32 ports of 32 bits: 8 at every tp
+        threshold=n_tiles * (STREAM_SETUP + 8 + 1 + 1),
         gaps=(2 * n_blocks + 2 * n_tiles) * PHASE_GAP,
         overhead=JOB_OVERHEAD)
 

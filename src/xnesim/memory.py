@@ -376,10 +376,10 @@ class EnergyBreakdown:
 
 
 def account_energy(ops: int, marshal_bits: int, hyperram_bits: int,
-                   seconds: float, mode: str,
-                   coeffs: CoefficientSet | None = None) -> EnergyBreakdown:
-    cs = coeffs or CoefficientSet()
-    m = cs.mode(mode)
+                   seconds: float, m: ModeEnergy,
+                   cs: CoefficientSet) -> EnergyBreakdown:
+    """Energy of ops at operating point m, plus the per-bit parameter
+    costs and leakage of cs."""
     return EnergyBreakdown(
         compute_j=ops * m.total_fj_per_op * 1e-15,
         engine_j=ops * m.engine_fj_per_op * 1e-15,

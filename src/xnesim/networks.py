@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bits import words_for_bits
+from .bintensor import image_bytes
 from .errors import ShapeError
 from .golden import LayerSpec
 
@@ -50,11 +50,11 @@ class NetLayer:
         """Resident halo'd input image, one bit per channel padded to
         whole words per pixel."""
         s = self.spec
-        return s.h_in * s.w_in * words_for_bits(s.nif) * 4
+        return image_bytes(s.nif, s.h_in, s.w_in)
 
     def output_buffer_bytes(self) -> int:
         s = self.spec
-        return s.h_out * s.w_out * words_for_bits(s.nof) * 4
+        return image_bytes(s.nof, s.h_out, s.w_out)
 
 
 def _activation_peak(layers: tuple[NetLayer, ...]) -> int:

@@ -1,6 +1,6 @@
 """Mapping layers onto the engine and running whole networks.
 
-plan_layer turns a layer into engine jobs by one rule (_job_shape):
+layer_cost maps a layer to engine jobs by one rule:
 
   * banded connectivity whose bands fold linearly onto output tiles
     (tp is a multiple of the outputs per band, and the input span of
@@ -10,17 +10,19 @@ plan_layer turns a layer into engine jobs by one rule (_job_shape):
     input/output images (band and group sizes must be word-aligned).
     Full connectivity is the single-band case, so it never folds.
 
+Its LayerCost is the one record of a layer's closed-form facts; the
+functional path's plan_layer, load_job and execute_layer read it.
+
 The weight stream holds, per (output tile, tap, input tile), TP lanes
 of TP bits each, lane vectors aligned with where the feature vector
 carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
 Network runs are analytic: each layer's cycles and ops come from
-layer_cost, which applies the same rule in closed form (the job count
-times one job's phase schedule) and plans no job. Energy comes from
-the operating point, and transfer time overlaps compute (parameters
-stream through a ring buffer at block granularity, so staging capacity
-never serializes a layer). plan_layer serves the functional path.
+layer_cost, and no job is planned. Energy comes from the operating
+point, and transfer time overlaps compute (parameters stream through a
+ring buffer at block granularity, so staging capacity never serializes
+a layer).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bintensor import BinaryTensor, BinaryWeights
+from .bintensor import BinaryTensor, BinaryWeights, image_bytes
 from .bits import pack_bits, unpack_bits, words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
@@ -57,9 +59,8 @@ class JobPlan:
     valid_out: np.ndarray
     d_eff: int                # band width seen by one lane
     npg: int                  # lanes sharing a band within a tile
-    ch_base: int              # first global output channel
+    ch_base: int              # first output channel = y bit offset
     x_bit_offset: int
-    y_bit_offset: int
 
     def support(self) -> np.ndarray:
         """Connectivity, (kout_tiles, kin_tiles, tp, tp) bool: bit b of
@@ -89,6 +90,7 @@ class JobPlan:
 @dataclass
 class LayerPlan:
     jobs: list[JobPlan]
+    cost: LayerCost           # the closed form the jobs are built from
 
     def schedules(self, cfg: EngineConfig) -> list[PhaseSchedule]:
         """Each job's phase schedule. It depends on the job's geometry
@@ -102,49 +104,21 @@ class LayerPlan:
         return sum(s.total for s in self.schedules(cfg))
 
 
-def _job_shape(spec: LayerSpec, tp: int) -> tuple[int, int, int, int, int]:
-    """The fold-or-split rule of the module docstring, as (jobs,
-    outputs per job, lanes per band within a tile, band_step, input
-    span of one output tile). PlanError when the bands neither fold
-    nor split into word-aligned per-band jobs."""
-    groups, d_eff = spec.groups, spec.d_eff
-    npg = spec.nof // groups
-    if groups > 1 and tp % npg == 0 and (tp // npg) * d_eff % 32 == 0:
-        # bands fold linearly onto output tiles: one job, banded walk
-        band_step = (tp // npg) * d_eff
-        return 1, spec.nof, npg, band_step, band_step
-    # one dense job per band; full connectivity is the single band
-    if groups > 1 and (d_eff % 32 or npg % 32):
-        raise PlanError(
-            f"band width {d_eff} / band outputs {npg} "
-            f"must be word-aligned to split into per-band jobs")
-    return groups, npg, tp, 0, d_eff
-
-
-def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
-    n_jobs, n_out, lanes, band_step, span = _job_shape(spec, tp)
-    valid_out = np.array([min(tp, n_out - k) for k in range(0, n_out, tp)])
-    wpp_in, wpp_out = words_for_bits(spec.nif), words_for_bits(spec.nof)
-    geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
-                       kin_tiles=(span + tp - 1) // tp,
-                       kout_tiles=len(valid_out), band_step=band_step,
-                       x_pixel_stride=32 * wpp_in,
-                       x_row_stride=32 * wpp_in * spec.w_in,
-                       y_pixel_stride=32 * wpp_out,
-                       y_row_stride=32 * wpp_out * spec.w_out)
-    # job i is band i when the bands split: its outputs and input band
-    # start i bands in
-    return LayerPlan([
-        JobPlan(geom, valid_out, spec.d_eff, lanes, i * n_out,
-                x_bit_offset=i * spec.d_eff, y_bit_offset=i * n_out)
-        for i in range(n_jobs)])
-
-
 @dataclass
 class LayerCost:
-    """Closed-form cost of one layer at one tp."""
+    """A layer's closed-form facts at one tp. Its jobs share one
+    geometry: n_out outputs in kout_tiles tiles, kin_tiles input tiles,
+    npg lanes per band within a tile (tp when dense), the band_step
+    walk. The properties derive from these fields."""
 
+    spec: LayerSpec
+    tp: int
     jobs: int
+    n_out: int                # outputs per job
+    npg: int
+    band_step: int
+    kin_tiles: int
+    kout_tiles: int
     schedule: PhaseSchedule   # summed over the jobs
     ops: int
 
@@ -152,17 +126,92 @@ class LayerCost:
     def cycles(self) -> int:
         return self.schedule.total
 
+    @property
+    def weight_bytes(self) -> int:
+        """One job's weight stream: kout_tiles * fs * fs * kin_tiles
+        blocks of tp*tp bits, remainder tiles padded."""
+        return (self.kout_tiles * self.spec.fs ** 2 * self.kin_tiles
+                * self.tp * self.tp // 8)
+
+    @property
+    def thr_bytes(self) -> int:
+        """One job's thresholds: one byte per lane of its output tiles."""
+        return self.kout_tiles * self.tp
+
+    @property
+    def job_bytes(self) -> int:
+        """One job's weight stream, then its thresholds."""
+        return self.weight_bytes + self.thr_bytes
+
+    @property
+    def _slack(self) -> int:
+        """Bytes free after each image in l1: masked tail reads may run
+        past it, at worst the banded walk plus one vector."""
+        tail = (self.kout_tiles * self.band_step
+                + (self.kin_tiles + 1) * self.tp) // 8
+        return (max(4 * self.tp, tail) + 3) & ~3
+
+    @property
+    def y_offset(self) -> int:
+        """Offset of the output image from the input image in l1."""
+        s = self.spec
+        return image_bytes(s.nif, s.h_in, s.w_in) + self._slack
+
+    def check_buffers(self) -> None:
+        """CapacityError unless both images and their slack fit l1 and
+        the jobs' streams, end to end, fit sram: before any data
+        exists."""
+        s = self.spec
+        if (self.y_offset + image_bytes(s.nof, s.h_out, s.w_out)
+                + self._slack > REGION_BYTES["l1"]):
+            raise CapacityError("activations exceed the core-coupled memory")
+        if self.jobs * self.job_bytes > REGION_BYTES["sram"]:
+            raise CapacityError("weight stream and thresholds exceed "
+                                "the sram region")
+
 
 def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
-    """What plan_layer(spec, tp) costs, without planning it: the job
-    count, the phase schedules summed part by part, and the ops. All
-    jobs of a layer share one geometry, and each job's output tiles
-    hold its n_out valid lanes, so the sum is the job count times one
-    job's schedule. Raises PlanError exactly where plan_layer does."""
-    n_jobs, n_out, _, _, span = _job_shape(spec, tp)
-    job = phase_schedule(tp, spec.fs, spec.h_out * spec.w_out,
-                         (span + tp - 1) // tp, (n_out + tp - 1) // tp, n_out)
-    return LayerCost(n_jobs, job.times(n_jobs), spec.ops)
+    """The fold-or-split rule of the module docstring, in closed form.
+    Each job's tiles hold its n_out valid lanes, so the summed schedule
+    is the job count times one job's. PlanError when the bands neither
+    fold nor split into word-aligned per-band jobs."""
+    groups, d_eff = spec.groups, spec.d_eff
+    npg = spec.nof // groups
+    if groups > 1 and tp % npg == 0 and (tp // npg) * d_eff % 32 == 0:
+        # bands fold linearly onto output tiles: one job, banded walk
+        band_step = (tp // npg) * d_eff
+        jobs, n_out, span = 1, spec.nof, band_step
+    else:
+        # one dense job per band; full connectivity is the single band
+        if groups > 1 and (d_eff % 32 or npg % 32):
+            raise PlanError(
+                f"band width {d_eff} / band outputs {npg} "
+                f"must be word-aligned to split into per-band jobs")
+        jobs, n_out, npg, band_step, span = groups, npg, tp, 0, d_eff
+    kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
+    job = phase_schedule(tp, spec.fs, spec.h_out * spec.w_out, kin_tiles,
+                         kout_tiles, n_out)
+    return LayerCost(spec, tp, jobs, n_out, npg, band_step, kin_tiles,
+                     kout_tiles, job.times(jobs), spec.ops)
+
+
+def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
+    """The jobs of layer_cost(spec, tp). Job i is band i when the
+    bands split: its outputs and input band start i bands in."""
+    cost = layer_cost(spec, tp)
+    valid_out = np.array([min(tp, cost.n_out - k)
+                          for k in range(0, cost.n_out, tp)])
+    wpp_in, wpp_out = words_for_bits(spec.nif), words_for_bits(spec.nof)
+    geom = JobGeometry(tp, spec.fs, spec.h_out, spec.w_out,
+                       kin_tiles=cost.kin_tiles, kout_tiles=cost.kout_tiles,
+                       band_step=cost.band_step,
+                       x_pixel_stride=32 * wpp_in,
+                       x_row_stride=32 * wpp_in * spec.w_in,
+                       y_pixel_stride=32 * wpp_out,
+                       y_row_stride=32 * wpp_out * spec.w_out)
+    return LayerPlan([JobPlan(geom, valid_out, spec.d_eff, cost.npg,
+                              i * cost.n_out, x_bit_offset=i * spec.d_eff)
+                      for i in range(cost.jobs)], cost)
 
 
 def weight_stream_words(job: JobPlan, spec: LayerSpec,
@@ -205,59 +254,28 @@ def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StreamLayout:
-    """Closed-form size of a layer's parameters in memory: each of its
-    jobs stores weight_bytes of weight stream (kout_tiles * fs * fs *
-    kin_tiles blocks of tp*tp bits, remainder tiles padded), then
-    thr_bytes of thresholds (kout_tiles * tp, one byte per lane)."""
-
-    jobs: int
-    weight_bytes: int
-    thr_bytes: int
-
-    @property
-    def job_bytes(self) -> int:
-        return self.weight_bytes + self.thr_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.jobs * self.job_bytes
-
-
-def stream_layout(spec: LayerSpec, tp: int) -> StreamLayout:
-    """The StreamLayout of plan_layer(spec, tp), without planning it;
-    PlanError where plan_layer raises it. Every job of a layer shares
-    one geometry, so one job's sizes hold for all."""
-    n_jobs, n_out, _, _, span = _job_shape(spec, tp)
-    kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
-    return StreamLayout(n_jobs,
-                        kout_tiles * spec.fs ** 2 * kin_tiles * tp * tp // 8,
-                        kout_tiles * tp)
-
-
 def load_job(mem: Memory, job: JobPlan, spec: LayerSpec, w: BinaryWeights,
              thr: ThresholdSpec, w_base: int, x_base: int,
              y_base: int) -> JobDescriptor:
     """Write the job's weight stream at w_base and its threshold bytes
     right after it, and return the descriptor that offloads the job.
     x_base and y_base are the layer's input and output images; the
-    job's bit offsets into them are added here. CapacityError when the
-    region holding w_base cannot hold stream and thresholds; both sizes
-    are closed-form (stream_layout), so a job that cannot fit builds
-    nothing."""
-    streams = stream_layout(spec, job.geom.tp)
+    job's bit offsets into them (x_bit_offset, ch_base) are added here.
+    CapacityError when the region holding w_base cannot hold stream and
+    thresholds; both sizes are closed-form (layer_cost), so a job that
+    cannot fit builds nothing."""
+    cost = layer_cost(spec, job.geom.tp)
     region = mem.region_of(w_base, 0)
-    if not region.contains(w_base, streams.job_bytes):
+    if not region.contains(w_base, cost.job_bytes):
         raise CapacityError(f"weight stream and thresholds exceed "
                             f"the {region.name} region")
-    thr_base = w_base + streams.weight_bytes
+    thr_base = w_base + cost.weight_bytes
     mem.write_words(w_base, weight_stream_words(job, spec, w))
     mem.write(thr_base, threshold_stream_bytes(job, thr))
     return JobDescriptor(
         geom=job.geom, w_base=w_base,
         x_base=x_base + job.x_bit_offset // 8,
-        y_base=y_base + job.y_bit_offset // 8,
+        y_base=y_base + job.ch_base // 8,
         thr_base=thr_base, shift=thr.shift,
         masks=job.masks(), valid_out=job.valid_out)
 
@@ -277,63 +295,32 @@ class LayerRun:
         return sum(r.ops for r in self.results)
 
 
-def activation_layout(spec: LayerSpec, tp: int) -> int:
-    """Byte offset of a layer's output image from its input image in
-    l1. The input image comes first, then slack, the output image and
-    slack again: masked tail reads may run past an image, worst case
-    the whole banded walk plus one vector beyond the final pixel.
-    CapacityError when the four exceed l1, and PlanError where
-    plan_layer raises it. Closed form, so a layer that does not fit
-    is rejected before any of its data exists."""
-    _, n_out, _, band_step, span = _job_shape(spec, tp)
-    kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
-    slack = max(4 * tp, (kout_tiles * band_step + (kin_tiles + 1) * tp) // 8)
-    slack = (slack + 3) & ~3
-    y_offset = 4 * spec.h_in * spec.w_in * words_for_bits(spec.nif) + slack
-    y_bytes = 4 * spec.h_out * spec.w_out * words_for_bits(spec.nof)
-    if y_offset + y_bytes + slack > REGION_BYTES["l1"]:
-        raise CapacityError("activations exceed the core-coupled memory")
-    return y_offset
-
-
-def layer_layout(spec: LayerSpec, tp: int) -> tuple[int, StreamLayout]:
-    """Where execute_layer puts a layer: the activation_layout offset
-    of its output image in l1, and the stream_layout of its jobs, laid
-    end to end from the base of sram. CapacityError when either does
-    not fit, before any of the layer's data exists."""
-    y_offset = activation_layout(spec, tp)
-    streams = stream_layout(spec, tp)
-    if streams.total_bytes > REGION_BYTES["sram"]:
-        raise CapacityError("weight stream and thresholds exceed "
-                            "the sram region")
-    return y_offset, streams
-
-
 def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
                   w: BinaryWeights, thr: ThresholdSpec,
                   mem: Memory | None = None) -> LayerRun:
-    """Build memory images, run every job, decode the output tensor."""
+    """Build memory images, run every job, decode the output tensor:
+    images in l1, the jobs' streams end to end from the base of sram."""
     check_layer_inputs(x, w, spec)
     if thr.nof != spec.nof:
         raise ShapeError("threshold channel count mismatch")
     plan = plan_layer(spec, cfg.tp)
+    cost = plan.cost
     mem = mem or Memory()
-
-    y_offset, streams = layer_layout(spec, cfg.tp)
+    cost.check_buffers()
     x_base = mem.base("l1")
-    y_base = x_base + y_offset
-    y_words = spec.h_out * spec.w_out * words_for_bits(spec.nof)
+    y_base = x_base + cost.y_offset
     mem.write_words(x_base, x.flat_words())
 
     eng = Engine(cfg, mem)
     runs = []
     for i, job in enumerate(plan.jobs):
-        w_base = mem.base("sram") + i * streams.job_bytes  # word aligned
+        w_base = mem.base("sram") + i * cost.job_bytes    # word aligned
         desc = load_job(mem, job, spec, w, thr, w_base, x_base, y_base)
         runs.append(eng.run_next(desc))
 
-    out_words = mem.read_words(y_base, y_words).reshape(
-        spec.h_out, spec.w_out, words_for_bits(spec.nof))
+    y_bytes = image_bytes(spec.nof, spec.h_out, spec.w_out)
+    out_words = mem.read_words(y_base, y_bytes // 4).reshape(
+        spec.h_out, spec.w_out, -1)
     return LayerRun(BinaryTensor(spec.nof, spec.h_out, spec.w_out, out_words),
                     runs, plan)
 
@@ -471,7 +458,7 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
         bound = "memory" if transfer_s > compute_s else "compute"
         sec = max(compute_s, transfer_s)
         energy = account_energy(cost.ops, bits if marshal else 0,
-                                bits if hyper else 0, sec, mode, cs)
+                                bits if hyper else 0, sec, m, cs)
         rep.rows.append(LayerRow(nl.name, cost.ops, bits, cycles,
                                  compute_s, transfer_s, bound, energy))
     return rep

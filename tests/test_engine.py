@@ -13,8 +13,8 @@ from xnesim.golden import (SHIFT_MAX, TAU_Q_MIN, LayerSpec, ThresholdSpec,
                            layer_golden, random_layer_data)
 from xnesim.memory import Memory, default_memory_map
 from xnesim.microcode import reference_program, ucode_registers, walk_offsets
-from xnesim.runner import (activation_layout, execute_layer, load_job,
-                           plan_layer, random_threshold_spec, stream_layout)
+from xnesim.runner import (execute_layer, layer_cost, load_job, plan_layer,
+                           random_threshold_spec)
 
 
 # --- threshold byte ----------------------------------------------------
@@ -51,7 +51,6 @@ def test_encode_thresholds_vector():
 def test_engine_config_validation():
     with pytest.raises(ShapeError):
         EngineConfig(tp=100)
-    assert EngineConfig(tp=256).ports == 8
 
 
 # --- cycle schedule -----------------------------------------------------
@@ -69,6 +68,11 @@ def test_phase_schedule_small_case_by_hand():
     assert s.gaps == (2 * blocks + 2 * tiles) * 8
     assert s.overhead == 16
     assert s.total == 36 + 60 + 72 + 288 + 16
+    # tp threshold bytes over tp/32 ports of 32 bits: 8 fetch cycles
+    # at every tp, and one output tile of 5 lanes per pixel at each
+    for tp in VALID_TPS:
+        [s] = plan_layer(spec, tp).schedules(EngineConfig(tp=tp))
+        assert s.threshold == tiles * (2 + 8 + 1 + 1), tp
 
 
 def test_phase_schedule_matches_engine_run():
@@ -180,7 +184,7 @@ def test_masks_with_holes_match_per_lane_oracle(tp):
     mem.write_words(l1, x.flat_words())
     [plan] = plan_layer(spec, tp).jobs
     job = load_job(mem, plan, spec, w, random_threshold_spec(rng, spec),
-                   mem.base("sram"), l1, l1 + activation_layout(spec, tp))
+                   mem.base("sram"), l1, l1 + layer_cost(spec, tp).y_offset)
     masks = job.masks.copy()
     masks[0, 0] = 0                   # live bits 0 and tp-1 only, in
     masks[0, 0, 3:-2, 0] = 1          # lanes 3 to tp-3; lane 3 has
@@ -373,16 +377,16 @@ def test_accumulator_bound_from_memory_map():
     bound = 8 * max(regions.values()) // min(VALID_TPS)
     assert bound == 2**21 < 2**24
     # The input image, at least n_acc bits, must fit l1
-    # (activation_layout): the receptive field of any layer that
+    # (LayerCost.check_buffers): the receptive field of any layer that
     # execute_layer runs is below 2**24 too.
     assert 8 * regions["l1"] < 2**24
     # the bound is tight to one word: one tile of 32 lanes whose lanes
     # sum bound - 32 bits fits the largest region, bound bits do not
     for nif, fits in ((bound - 32, True), (bound, False)):
-        streams = stream_layout(LayerSpec(nif=nif, nof=32, fs=1, h_out=1,
-                                          w_out=1), 32)
-        assert 8 * streams.weight_bytes // 32 == nif
-        assert (streams.job_bytes <= max(regions.values())) == fits
+        cost = layer_cost(LayerSpec(nif=nif, nof=32, fs=1, h_out=1, w_out=1),
+                          32)
+        assert 8 * cost.weight_bytes // 32 == nif
+        assert (cost.job_bytes <= max(regions.values())) == fits
     # the scaled thresholds the accumulators are compared with
     assert -TAU_Q_MIN << SHIFT_MAX == 2**21
 

@@ -146,9 +146,9 @@ def test_mode_table_energy_split():
 
 
 def test_account_energy_composition():
+    cs = CoefficientSet(leakage_mw=1.5)
     e = account_energy(ops=10**9, marshal_bits=10**6, hyperram_bits=10**6,
-                       seconds=2.0, mode="sram-0v6",
-                       coeffs=CoefficientSet(leakage_mw=1.5))
+                       seconds=2.0, m=cs.mode("sram-0v6"), cs=cs)
     assert e.compute_j == pytest.approx(10**9 * 115e-15)
     assert e.engine_j + e.local_j == pytest.approx(e.compute_j)
     assert e.marshal_j == pytest.approx(8.7e-6)

@@ -10,11 +10,10 @@ from xnesim.golden import LayerSpec, random_layer_data
 from xnesim.memory import CoefficientSet, Memory
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
 from xnesim.golden import layer_golden
-from xnesim.runner import (activation_layout, check_fit, execute_layer,
-                           layer_cost, load_job, plan_layer,
-                           random_threshold_spec, run_network,
-                           stream_layout, threshold_stream_bytes,
-                           verify_layers, weight_stream_words)
+from xnesim.runner import (check_fit, execute_layer, layer_cost, load_job,
+                           plan_layer, random_threshold_spec, run_network,
+                           threshold_stream_bytes, verify_layers,
+                           weight_stream_words)
 
 CFG = EngineConfig(tp=128)
 
@@ -22,25 +21,25 @@ CFG = EngineConfig(tp=128)
 # --- planning -----------------------------------------------------------
 
 # per job: (kin_tiles, kout_tiles, band_step, npg, ch_base, x_bit_offset,
-#           y_bit_offset, valid_out); per layer the (x, y) pixel strides
+#           valid_out); per layer the (x, y) pixel strides
 PLAN_CASES = {
     "dense": (LayerSpec(nif=300, nof=140, fs=3, h_out=4, w_out=4),
-              (320, 160), [(3, 2, 0, 128, 0, 0, 0, [128, 12])]),
+              (320, 160), [(3, 2, 0, 128, 0, 0, [128, 12])]),
     # one dense band never folds, though 32 outputs x 64 bits would
     "dense-never-folds": (LayerSpec(nif=64, nof=32, fs=1, h_out=1, w_out=1),
-                          (64, 32), [(1, 1, 0, 128, 0, 0, 0, [32])]),
+                          (64, 32), [(1, 1, 0, 128, 0, 0, [32])]),
     # one input channel per output: tp outputs share a tp-bit span
     "banded": (LayerSpec(nif=96, nof=96, fs=3, h_out=2, w_out=2, d=1),
-               (96, 96), [(1, 1, 128, 1, 0, 0, 0, [96])]),
+               (96, 96), [(1, 1, 128, 1, 0, 0, [96])]),
     # 2 lanes per band of 64 bits: span = 64 * 64 bits
     "banded-wide": (LayerSpec(nif=4096, nof=128, fs=1, h_out=1, w_out=1,
                               d=64),
-                    (4096, 128), [(32, 1, 4096, 2, 0, 0, 0, [128])]),
+                    (4096, 128), [(32, 1, 4096, 2, 0, 0, [128])]),
     # 2 bands of 256 outputs: a 128-lane tile cannot hold a whole band
     "per-band": (LayerSpec(nif=256, nof=512, fs=1, h_out=2, w_out=2,
                            d=128),
-                 (256, 512), [(1, 2, 0, 128, 0, 0, 0, [128, 128]),
-                              (1, 2, 0, 128, 256, 128, 256, [128, 128])]),
+                 (256, 512), [(1, 2, 0, 128, 0, 0, [128, 128]),
+                              (1, 2, 0, 128, 256, 128, [128, 128])]),
 }
 
 
@@ -49,7 +48,7 @@ PLAN_CASES = {
 def test_plan_layer_jobs(spec, strides, want):
     jobs = plan_layer(spec, 128).jobs
     assert [(j.geom.kin_tiles, j.geom.kout_tiles, j.geom.band_step, j.npg,
-             j.ch_base, j.x_bit_offset, j.y_bit_offset, j.valid_out.tolist())
+             j.ch_base, j.x_bit_offset, j.valid_out.tolist())
             for j in jobs] == want
     for j in jobs:
         assert (j.geom.x_pixel_stride, j.geom.y_pixel_stride) == strides
@@ -162,7 +161,33 @@ def test_mvgg2_runs_functionally_at_tp512():
         assert (run.cycles, run.ops) == (cost.cycles, cost.ops), nl.name
 
 
-def test_stream_layout_equals_built_streams():
+# op/cycle against the 2*tp peak at tp 128 and 2x2 pixels: full
+# tiles, two tiles each way, the three filter sizes, remainder tiles
+# (the grid's small-image shape is the first one at this size)
+THROUGHPUT_GRID = [
+    LayerSpec(nif=128, nof=128, fs=3, h_out=2, w_out=2),
+    LayerSpec(nif=256, nof=256, fs=3, h_out=2, w_out=2),
+    LayerSpec(nif=128, nof=128, fs=1, h_out=2, w_out=2),
+    LayerSpec(nif=128, nof=128, fs=5, h_out=2, w_out=2),
+    LayerSpec(nif=100, nof=100, fs=3, h_out=2, w_out=2),
+    LayerSpec(nif=160, nof=160, fs=3, h_out=2, w_out=2),
+]
+
+
+def test_throughput_grid_equals_golden_and_layer_cost():
+    rng = np.random.default_rng(0)
+    for spec in THROUGHPUT_GRID:
+        x, w = random_layer_data(rng, spec)
+        thr = random_threshold_spec(rng, spec)
+        run = execute_layer(CFG, spec, x, w, thr)
+        want = layer_golden(x, w, spec, thr)
+        assert np.array_equal(run.output.to_bits(), want.to_bits()), spec
+        cost = layer_cost(spec, 128)
+        assert (run.cycles, run.ops) == (cost.cycles, cost.ops), spec
+        assert run.ops <= 2 * 128 * run.cycles, spec
+
+
+def test_layer_cost_sizes_equal_built_streams():
     rng = np.random.default_rng(20261019)
     for _ in range(30):
         spec = _grouped_spec(rng)
@@ -173,21 +198,21 @@ def test_stream_layout_equals_built_streams():
                 jobs = plan_layer(spec, tp).jobs
             except PlanError:
                 continue
-            streams = stream_layout(spec, tp)
-            assert streams.jobs == len(jobs), (spec, tp)
+            cost = layer_cost(spec, tp)
+            assert cost.jobs == len(jobs), (spec, tp)
             for job in jobs:
                 assert (4 * len(weight_stream_words(job, spec, w)),
                         len(threshold_stream_bytes(job, thr))) == (
-                    streams.weight_bytes, streams.thr_bytes), (spec, tp)
+                    cost.weight_bytes, cost.thr_bytes), (spec, tp)
 
 
 def test_execute_layer_rejects_streams_before_writing():
     # each of the two per-band jobs fits sram (288 KiB), both do not:
     # the layer is rejected before its first job touches memory
     spec = LayerSpec(nif=2048, nof=512, fs=3, h_out=1, w_out=1, d=1024)
-    streams = stream_layout(spec, 128)
-    assert streams.jobs == 2 and streams.job_bytes < 448 * 1024
-    assert streams.total_bytes > 448 * 1024
+    cost = layer_cost(spec, 128)
+    assert cost.jobs == 2 and cost.job_bytes < 448 * 1024
+    assert cost.jobs * cost.job_bytes > 448 * 1024
     rng = np.random.default_rng(5)
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
@@ -320,7 +345,7 @@ def test_execute_layer_l1_capacity():
         execute_layer(CFG, spec, x, w, thr)
 
 
-def test_activation_layout_covers_every_job_tail():
+def test_output_offset_covers_every_job_tail():
     # the output image starts past the input image and a slack that
     # covers the longest masked tail read of any planned job: the
     # whole banded walk plus one vector past the final pixel
@@ -336,7 +361,7 @@ def test_activation_layout_covers_every_job_tail():
                         + (j.geom.kin_tiles + 1) * tp) // 8 for j in jobs)
             slack = -(-max(4 * tp, tail) // 4) * 4
             x_bytes = 4 * spec.h_in * spec.w_in * -(-spec.nif // 32)
-            assert activation_layout(spec, tp) == x_bytes + slack, (spec, tp)
+            assert layer_cost(spec, tp).y_offset == x_bytes + slack, (spec, tp)
 
 
 def test_load_job_capacity():
