@@ -142,8 +142,8 @@ class PhaseSchedule:
                              self.overhead * n)
 
 
-def phase_schedule(tp: int, fs: int, pixels: int, kin_tiles: int,
-                   kout_tiles: int, valid_lanes: int) -> PhaseSchedule:
+def phase_schedule(fs: int, pixels: int, kin_tiles: int, kout_tiles: int,
+                   valid_lanes: int) -> PhaseSchedule:
     """Cycle budget of one job, from plain integers: the job walks
     *pixels* output pixels, each over kout_tiles output tiles of
     fs*fs*kin_tiles blocks, and its tiles hold *valid_lanes* valid
@@ -193,7 +193,7 @@ class Engine:
         # output vector) accumulates n_inner blocks, s = (fi, fj, ki)
         n_inner = g.fs * g.fs * g.kin_tiles
         ko = np.arange(len(offs)) // n_inner % g.kout_tiles
-        sched = phase_schedule(tp, g.fs, g.h_out * g.w_out, g.kin_tiles,
+        sched = phase_schedule(g.fs, g.h_out * g.w_out, g.kin_tiles,
                                g.kout_tiles, int(job.valid_out.sum()))
         acc_cycles = int(job.valid_out[ko].sum())
         if sched.accumulate != acc_cycles:

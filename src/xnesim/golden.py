@@ -23,12 +23,14 @@ each output channel to a contiguous band of d input channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .bintensor import BinaryTensor, BinaryWeights
+from .bits import unpack_bits
 from .errors import DegenerateBatchNorm, PlanError, ShapeError
 
 TAU_Q_MIN = -64
@@ -250,15 +252,14 @@ def conv_popcounts(x: BinaryTensor, w: BinaryWeights,
     h, wo = spec.h_out, spec.w_out
     dt = np.float32 if spec.n_acc < 2**24 else np.float64
     xs = x.to_bits().reshape(g, d, spec.h_in, spec.w_in).astype(dt) * 2 - 1
-    # one contiguous (fs, fs, g, nof/g, d) slab: each tap's weights are
-    # one block, made +/-1 inside the loop
-    wb = w.to_bits().reshape(g, spec.nof // g, d, fs, fs)
-    wb = np.ascontiguousarray(wb.transpose(3, 4, 0, 1, 2))
+    # weights unpacked once in storage order (nof, fs, fs, d); each
+    # tap's (g, nof/g, d) block is made +/-1 inside the loop
+    wb = unpack_bits(w.words, d).reshape(g, spec.nof // g, fs, fs, d)
     s = np.zeros((g, spec.nof // g, h * wo), dtype=dt)
     for fi in range(fs):
         for fj in range(fs):
             win = xs[:, :, fi:fi + h, fj:fj + wo].reshape(g, d, h * wo)
-            s += (wb[fi, fj].astype(dt) * 2 - 1) @ win
+            s += (wb[:, :, fi, fj].astype(dt) * 2 - 1) @ win
     return (s.reshape(spec.nof, h, wo).astype(np.int64) + spec.n_acc) // 2
 
 
@@ -333,9 +334,16 @@ def random_batchnorm(rng: np.random.Generator, nof: int,
 
 def random_layer_data(rng: np.random.Generator, spec: LayerSpec
                       ) -> tuple[BinaryTensor, BinaryWeights]:
-    x = BinaryTensor.from_bits(
-        rng.integers(0, 2, (spec.nif, spec.h_in, spec.w_in), dtype=np.uint8))
-    w = BinaryWeights.from_bits(
-        rng.integers(0, 2, (spec.nof, spec.d_eff, spec.fs, spec.fs),
-                     dtype=np.uint8))
-    return x, w
+    """Input, then weights, of random bits in C order: bit i of n is the
+    top bit of byte i of ceil(n/4) uint32 draws, low byte first. numpy
+    draws rng.integers(0, 2, n, dtype=np.uint8) so: the same bits, and
+    the same generator state after."""
+    def bits(*shape):
+        n = math.prod(shape)
+        b = rng.integers(0, 2**32, (n + 3) // 4, dtype=np.uint32).astype(
+            "<u4", copy=False).view(np.uint8)[:n]
+        b >>= 7
+        return b.reshape(shape)
+    return (BinaryTensor.from_bits(bits(spec.nif, spec.h_in, spec.w_in)),
+            BinaryWeights.from_bits(bits(spec.nof, spec.d_eff, spec.fs,
+                                         spec.fs)))

@@ -31,10 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .bintensor import BinaryTensor, BinaryWeights, image_bytes
-from .bits import pack_bits, unpack_bits, words_for_bits
+from .bits import words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
 from .errors import CapacityError, PlanError, ShapeError, XneError
@@ -62,23 +61,19 @@ class JobPlan:
     ch_base: int              # first output channel = y bit offset
     x_bit_offset: int
 
-    def support(self) -> np.ndarray:
-        """Connectivity, (kout_tiles, kin_tiles, tp, tp) bool: bit b of
-        lane L in tile (ko, ki) is set iff the lane is valid and walked
-        span position ki*tp + b lies in the lane's band, which starts at
-        (L // npg) * d_eff and is d_eff wide. Full connectivity is
-        npg = tp: one band covering the whole input."""
-        g = self.geom
-        idx = np.arange(g.tp)
-        # start of each lane's band inside each input tile's window
-        lo = ((idx // self.npg) * self.d_eff
-              - g.tp * np.arange(g.kin_tiles)[:, None])[..., None]
-        band = (lo <= idx) & (idx < lo + self.d_eff)     # (ki, lane, bit)
-        valid = idx < self.valid_out[:, None]           # (ko, lane)
-        return band[None] & valid[:, None, :, None]
-
     def masks(self) -> np.ndarray:
-        return pack_bits(self.support())
+        """Connectivity, (kout_tiles, kin_tiles, tp, tp//32) words: bit
+        b of lane L in tile (ko, ki) is set iff the lane is valid and
+        walked span position ki*tp + b lies in the lane's band, which is
+        d_eff wide from (L // npg) * d_eff (npg = tp: full connectivity).
+        A word holding band bits [b0, b1) is (1 << b1) - (1 << b0)."""
+        g = self.geom
+        lo = (np.arange(g.tp)[:, None] // self.npg) * self.d_eff  # (lane, 1)
+        first = 32 * np.arange(g.kin_tiles * g.tp // 32).reshape(
+            g.kin_tiles, 1, g.tp // 32)         # span bit 0 of (ki, word)
+        b0, b1 = (np.clip(e - first, 0, 32) for e in (lo, lo + self.d_eff))
+        valid = np.arange(g.tp)[:, None] < self.valid_out[:, None, None, None]
+        return (((1 << b1) - (1 << b0)) * valid).astype(np.uint32)
 
     def valid_lanes(self) -> np.ndarray:
         """Flat lane indices ko*tp + L with L < valid_out[ko]: lane i
@@ -95,9 +90,9 @@ class LayerPlan:
     def schedules(self, cfg: EngineConfig) -> list[PhaseSchedule]:
         """Each job's phase schedule. It depends on the job's geometry
         alone, which holds its tp; cfg is not read."""
-        return [phase_schedule(j.geom.tp, j.geom.fs,
-                               j.geom.h_out * j.geom.w_out, j.geom.kin_tiles,
-                               j.geom.kout_tiles, int(j.valid_out.sum()))
+        return [phase_schedule(j.geom.fs, j.geom.h_out * j.geom.w_out,
+                               j.geom.kin_tiles, j.geom.kout_tiles,
+                               int(j.valid_out.sum()))
                 for j in self.jobs]
 
     def cycles(self, cfg: EngineConfig) -> int:
@@ -189,7 +184,7 @@ def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
                 f"must be word-aligned to split into per-band jobs")
         jobs, n_out, npg, band_step, span = groups, npg, tp, 0, d_eff
     kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
-    job = phase_schedule(tp, spec.fs, spec.h_out * spec.w_out, kin_tiles,
+    job = phase_schedule(spec.fs, spec.h_out * spec.w_out, kin_tiles,
                          kout_tiles, n_out)
     return LayerCost(spec, tp, jobs, n_out, npg, band_step, kin_tiles,
                      kout_tiles, job.times(jobs), spec.ops)
@@ -220,30 +215,26 @@ def weight_stream_words(job: JobPlan, spec: LayerSpec,
     (k_out tile, fi, fj, k_in tile) order. Bit b of lane L in block
     (ko, fi, fj, ki) is the weight of channel ch_base + ko*tp + L at
     band position ki*tp + b - (L // npg) * d_eff, zero outside
-    job.support().
+    job.masks().
 
-    One pass for every kind of job: a zero bit array laid out as
-    (fi, fj, output lane, walked span position) receives each lane's
-    d_eff weights at its band start, then packs in one call and is
-    reordered into blocks."""
+    One pass for every kind of job, on words: each valid lane's band
+    words, pad bits cleared, shift in uint64 to its band start in the
+    walked span; each word's high half folds into the next span word."""
     g = job.geom
-    tp, npg, d = g.tp, job.npg, job.d_eff
-    cols = g.kin_tiles * tp
+    tp, d = g.tp, job.d_eff
     lanes = job.valid_lanes()
-    rows = np.zeros((g.kout_tiles * tp,) + w.words.shape[1:], dtype=np.uint32)
-    rows[lanes] = w.words[job.ch_base + lanes]      # invalid lanes stay zero
-    bits = np.zeros((g.fs, g.fs, g.kout_tiles * tp, cols), dtype=np.uint8)
-    # Lane ko*tp + q*npg + r starts its band at column q*d, an affine
-    # function of (ko, q, r), so all bands are one strided view. Bands
-    # end by column (tp // npg) * d <= cols: the view stays in the
-    # array, and no two of its elements share an address.
-    bands = as_strided(bits, (g.kout_tiles, tp // npg, npg, g.fs, g.fs, d),
-                       (tp * cols, npg * cols + d, cols) + bits.strides[:2]
-                       + (1,))
-    bands[...] = unpack_bits(rows, d).reshape(bands.shape)
-    words = pack_bits(bits.reshape(g.fs, g.fs, g.kout_tiles, tp,
-                                   g.kin_tiles, tp))
-    return words.transpose(2, 0, 1, 4, 3, 5).reshape(-1)
+    rows = w.words[job.ch_base + lanes].astype(np.uint64)  # (lane, fs, fs, W)
+    rows[..., -1] &= 0xFFFFFFFF >> -d % 32
+    start = (lanes % tp // job.npg) * d
+    shifted = rows << (start % 32).astype(np.uint64)[:, None, None, None]
+    # span word k + 1 holds the word shifted to k; word 0 stays zero
+    col = (start // 32 + 1)[:, None] + np.arange(rows.shape[-1])
+    wide = np.zeros((g.kout_tiles * tp, g.kin_tiles * tp // 32 + 1, g.fs,
+                     g.fs), dtype=np.uint64)
+    wide[lanes[:, None], col] = shifted.transpose(0, 3, 1, 2)
+    words = ((wide[:, 1:] & 0xFFFFFFFF) | (wide[:, :-1] >> 32)).astype(
+        np.uint32).reshape(g.kout_tiles, tp, g.kin_tiles, tp // 32, g.fs, g.fs)
+    return words.transpose(0, 4, 5, 2, 1, 3).reshape(-1)
 
 
 def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:

@@ -209,7 +209,7 @@ def test_masks_with_holes_match_per_lane_oracle(tp):
     assert np.array_equal(mem.read(l1, size), want.read(l1, size))
     y = want.read(job.y_base, 4 * 12 * ((tp + 9 + 31) // 32))
     assert 0 < np.bitwise_count(y).sum() < 12 * (tp + 9)
-    sched = phase_schedule(tp, 3, 12, 2, 2, tp + 9)
+    sched = phase_schedule(3, 12, 2, 2, tp + 9)
     assert res.schedule == sched and res.cycles == sched.total
 
 
@@ -226,8 +226,8 @@ def _tiny_job(mem, spec=LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)):
 
 def test_walk_schedule_disagreement_raises(monkeypatch):
     # the walk-vs-schedule check must hold under python -O too
-    def off_by_one(*args):
-        s = phase_schedule(*args)
+    def off_by_one(fs, pixels, kin_tiles, kout_tiles, valid_lanes):
+        s = phase_schedule(fs, pixels, kin_tiles, kout_tiles, valid_lanes)
         s.accumulate += 1
         return s
     mem = Memory()
@@ -361,7 +361,7 @@ def test_schedule_helper_direct():
     spec = LayerSpec(nif=128, nof=128, fs=3, h_out=2, w_out=2)
     plan = plan_layer(spec, 128)
     j = plan.jobs[0]
-    s = phase_schedule(128, 3, 4, j.geom.kin_tiles, j.geom.kout_tiles, 128)
+    s = phase_schedule(3, 4, j.geom.kin_tiles, j.geom.kout_tiles, 128)
     assert s.total == plan.cycles(EngineConfig(tp=128))
 
 

@@ -13,6 +13,7 @@ from xnesim.golden import (BatchNormParams, LayerSpec, ThresholdSpec,
                            layer_golden, majority_avgpool, or_maxpool,
                            popcount_thresholds, quantize_thresholds,
                            real_reference, round_half_up_shift)
+from xnesim.runner import random_threshold_spec
 
 
 def naive_popcounts(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):
@@ -49,6 +50,35 @@ def test_conv_popcounts_match_naive(spec):
     rng = np.random.default_rng(hash((spec.nif, spec.nof, spec.fs)) % 2**31)
     x, w = golden.random_layer_data(rng, spec)
     assert np.array_equal(conv_popcounts(x, w, spec), naive_popcounts(x, w, spec))
+
+
+def test_random_layer_data_equals_byte_per_bit_draw():
+    # the draw takes the top bit of each byte of ceil(n/4) uint32 words,
+    # which is how numpy draws integers(0, 2, dtype=uint8): the same
+    # bits, the same generator state after, so a following threshold
+    # draw and the digests in perfbench/reference.json do not move
+    shapes = np.random.default_rng(20261019)
+    seen = set()     # (draw, bit count mod 4)
+    for seed in range(200):
+        nif, nof, h, w = (int(v) for v in shapes.integers(1, 40, size=4))
+        fs = int(shapes.choice([1, 3, 5]))
+        spec = LayerSpec(nif=nif, nof=nof, fs=fs, h_out=h, w_out=w)
+        seen |= {("x", nif * spec.h_in * spec.w_in % 4),
+                 ("w", nof * nif * fs * fs % 4)}
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, wt = golden.random_layer_data(fast, spec)
+        xb = slow.integers(0, 2, (spec.nif, spec.h_in, spec.w_in),
+                           dtype=np.uint8)
+        wb = slow.integers(0, 2, (spec.nof, spec.d_eff, fs, fs),
+                           dtype=np.uint8)
+        assert np.array_equal(x.to_bits(), xb), (seed, spec)
+        assert np.array_equal(wt.to_bits(), wb), (seed, spec)
+        assert fast.bit_generator.state == slow.bit_generator.state, seed
+        a, b = (random_threshold_spec(r, spec) for r in (fast, slow))
+        assert np.array_equal(a.tau_q, b.tau_q), seed
+        assert np.array_equal(a.lambda_positive, b.lambda_positive), seed
+        assert a.shift == b.shift, seed
+    assert len(seen) == 8       # both draws met every residue
 
 
 def int_popcounts(x: BinaryTensor, w: BinaryWeights, spec: LayerSpec):

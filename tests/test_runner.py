@@ -6,7 +6,7 @@ import pytest
 from xnesim.bintensor import BinaryTensor, BinaryWeights
 from xnesim.engine import VALID_TPS, EngineConfig
 from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
-from xnesim.golden import LayerSpec, random_layer_data
+from xnesim.golden import LayerSpec, conv_popcounts, random_layer_data
 from xnesim.memory import CoefficientSet, Memory
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
 from xnesim.golden import layer_golden
@@ -228,17 +228,31 @@ MASK_SPECS = [
     LayerSpec(nif=132, nof=33, fs=1, h_out=1, w_out=1, d=4),
     LayerSpec(nif=144, nof=24, fs=1, h_out=1, w_out=1, d=6),
     LayerSpec(nif=256, nof=512, fs=1, h_out=1, w_out=1, d=128),  # 2 jobs
+    # 2 lanes per 32-bit band, 6 valid lanes: folds at every TP
+    LayerSpec(nif=96, nof=6, fs=1, h_out=1, w_out=1, d=32),
+    # 96 outputs per band never fold: per-band jobs, remainder lanes
+    LayerSpec(nif=64, nof=192, fs=1, h_out=1, w_out=1, d=32),
 ]
+
+
+def test_mask_specs_cover_every_job_kind():
+    kinds = set().union(*(_kinds(s, tp) for s in MASK_SPECS
+                          for tp in VALID_TPS))
+    assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
+                     "npg>1"}
 
 
 @pytest.mark.parametrize("spec", MASK_SPECS,
                          ids=lambda s: f"{s.nif}x{s.nof}g{s.groups}")
 def test_masks_against_bit_oracle(spec):
     # mask bit b of lane L in tile (ko, ki) is set iff the walked span
-    # position falls inside that lane's band and the lane is valid
-    for job in plan_layer(spec, 128).jobs:
+    # position falls inside that lane's band and the lane is valid;
+    # every job at every TP
+    for job in (j for tp in VALID_TPS for j in plan_layer(spec, tp).jobs):
         g = job.geom
-        bits = np.unpackbits(job.masks().view(np.uint8), bitorder="little",
+        masks = job.masks()
+        assert masks.dtype == np.uint32
+        bits = np.unpackbits(masks.view(np.uint8), bitorder="little",
                              axis=-1).reshape(g.kout_tiles, g.kin_tiles,
                                               g.tp, g.tp)
         lane = np.arange(g.tp)[:, None]
@@ -249,7 +263,7 @@ def test_masks_against_bit_oracle(spec):
                 pos = ki * g.tp + col
                 want = ((lane < int(job.valid_out[ko]))
                         & (band_lo <= pos) & (pos < band_lo + job.d_eff))
-                assert np.array_equal(bits[ko, ki], want), (spec, ko, ki)
+                assert np.array_equal(bits[ko, ki], want), (g.tp, ko, ki)
 
 
 STREAM_SPECS = {
@@ -297,6 +311,28 @@ def test_weight_stream_against_bit_oracle(spec):
                         want = np.where(ok, wb[ch, posc, ui, uj], 0)
                         assert np.array_equal(bits[ko, ui, uj, ki], want), \
                             (g.tp, job.ch_base, ko, ui, uj, ki)
+
+
+@pytest.mark.parametrize("name", [n for n, s in STREAM_SPECS.items()
+                                  if s.d_eff % 32])
+def test_weight_pad_bits_are_ignored(name):
+    # BinaryWeights takes any payload: set every pad bit past d_eff in
+    # each tap's last word. The stream equals the cleared payload's,
+    # has no bit outside the masks, and golden does not move
+    spec = STREAM_SPECS[name]
+    rng = np.random.default_rng(9)
+    x, w = random_layer_data(rng, spec)
+    dirty = w.words.copy()
+    dirty[..., -1] |= np.uint32(0xFFFFFFFF << spec.d_eff % 32 & 0xFFFFFFFF)
+    wd = BinaryWeights(w.nof, w.nif, w.fs, dirty)
+    assert np.array_equal(conv_popcounts(x, wd, spec),
+                          conv_popcounts(x, w, spec))
+    for job in (j for tp in VALID_TPS for j in plan_layer(spec, tp).jobs):
+        g = job.geom
+        stream = weight_stream_words(job, spec, wd)
+        assert np.array_equal(stream, weight_stream_words(job, spec, w))
+        m = job.masks()[:, None, None].repeat(g.fs, 1).repeat(g.fs, 2)
+        assert not np.any(stream & ~m.reshape(-1)), (g.tp, job.ch_base)
 
 
 def test_threshold_stream_padding():
