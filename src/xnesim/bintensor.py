@@ -68,6 +68,15 @@ class BinaryTensor:
         return self.words.reshape(-1)
 
 
+def bit_mismatches(a: BinaryTensor, b: BinaryTensor) -> int:
+    """Number of bits in which a and b differ, counted on the packed
+    words: pad bits past c are zero in both."""
+    if (a.c, a.h, a.w) != (b.c, b.h, b.w):
+        raise ShapeError(f"cannot compare {(a.c, a.h, a.w)} with "
+                         f"{(b.c, b.h, b.w)}")
+    return int(np.bitwise_count(a.words ^ b.words).sum())
+
+
 @dataclass
 class BinaryWeights:
     """A (n_out, n_in, fs, fs) filter bank of single-bit weights."""

@@ -18,6 +18,10 @@ from .errors import ShapeError
 
 WORD_BITS = 32
 WORD_DTYPE = np.uint32
+# row b: the eight bits of byte b, LSB first, as +1 (bit set) or -1
+_PM1_OF_BYTE = (2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                  axis=1, bitorder="little")
+                .astype(np.float32) - 1)
 
 
 def words_for_bits(nbits: int) -> int:
@@ -54,3 +58,17 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
         raise ShapeError(f"asked for {nbits} bits, only {stored} stored")
     return np.unpackbits(words.view(np.uint8), axis=-1, count=nbits,
                          bitorder="little")
+
+
+def unpack_pm1(words: np.ndarray, nbits: int) -> np.ndarray:
+    """unpack_bits(words, nbits) as float32 +/-1 (bit 1 -> +1, 0 -> -1),
+    by one lookup of each packed little-endian byte in a 256 x 8 table
+    in place of unpack, astype, x2 and -1. The last axis may be a view
+    of nbits of a wider row."""
+    words = np.ascontiguousarray(words, dtype="<u4")
+    stored = WORD_BITS * words.shape[-1]
+    if nbits > stored:
+        raise ShapeError(f"asked for {nbits} bits, only {stored} stored")
+    # np.take gathers whole table rows; fancy indexing measured 2-8x slower
+    pm1 = np.take(_PM1_OF_BYTE, words.view(np.uint8), axis=0)
+    return pm1.reshape(words.shape[:-1] + (stored,))[..., :nbits]

@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from .bintensor import bit_mismatches
 from .engine import EngineConfig
 from .errors import CapacityError, PlanError, RegionError, XneError
 from .golden import LayerSpec, layer_golden, random_layer_data
@@ -93,7 +94,7 @@ def cmd_run_layer(args) -> int:
     thr = random_threshold_spec(rng, spec)
     run = execute_layer(cfg, spec, x, w, thr)
     want = layer_golden(x, w, spec, thr)
-    mism = int(np.sum(run.output.to_bits() != want.to_bits()))
+    mism = bit_mismatches(run.output, want)
     print(f"layer {spec.nif}->{spec.nof} fs={spec.fs} "
           f"{spec.h_out}x{spec.w_out} groups={spec.groups} tp={args.tp}")
     print(f"jobs {len(run.plan.jobs)}  cycles {run.cycles}  ops {run.ops}  "

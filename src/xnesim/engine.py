@@ -19,6 +19,12 @@ the pipeline makes (a weight block or threshold row once per pixel).
 It accumulates with one float32 matrix product per (output tile, inner
 step) over all pixels, clamps once (popcounts are >= 0, so that equals
 saturating after every step), then thresholds and stores every tile.
+Accumulators are lane-major, (output tile, lane, pixel), so each
+product is (lanes, bits) @ (bits, pixels) and its weight block converts
+to float32 contiguously. Every output bit is one sign-folded compare,
+s*acc >= s*(tau << shift) with s = -1 where the comparison is acc <=
+tau, and an invalid lane compares against +inf; one transpose then puts
+the bits in store order.
 Each product covers only the live box of its mask tile: the lanes from
 the first to the last that has a mask bit, and the bits from the first
 to the last that any lane has. The box is taken from the masks, so it
@@ -61,6 +67,7 @@ VALID_TPS = (32, 64, 128, 256, 512)
 STREAM_SETUP = 2    # cycles to arm a streamer channel
 PHASE_GAP = 8       # drain/settle cycles between phases
 JOB_OVERHEAD = 16   # offload + register copy per job
+_PROGRAM = reference_program()    # built once; every engine walks it
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ class Engine:
     def __init__(self, cfg: EngineConfig, mem: Memory):
         self.cfg = cfg
         self.mem = mem
-        self.program = reference_program()
+        self.program = _PROGRAM
 
     def run_next(self, job: JobDescriptor) -> JobResult:
         """Offload *job* and run it to completion."""
@@ -216,7 +223,10 @@ class Engine:
         x_rows, x_of = mem.gather_words(job.x_base + offs[:, 1] // 8,
                                         tp // 32)
         x = unpack_bits(x_rows, tp).astype(np.float32)
-        x_of = x_of.reshape(w_off.shape)
+        # (kout_tiles, n_inner, pixels): per (ko, s), the x row of each
+        # pixel, contiguous for the row gather of its product
+        x_of = np.ascontiguousarray(
+            x_of.reshape(w_off.shape).transpose(1, 2, 0))
 
         # For lane mask m and weights w, with p = m & ~w and n = m & w
         # (the bits that agree when x is 0, resp. 1):
@@ -230,12 +240,14 @@ class Engine:
         # blocks, tp lanes of n_inner*tp bits, lie in one region of at
         # most 8 MiB, so n_inner*tp <= 2**21
         # (test_accumulator_bound_from_memory_map) and float32, exact
-        # below 2**24, holds every value exactly.
+        # below 2**24, holds every value exactly. acc is lane-major,
+        # (kout_tiles, tp, pixels): each product is (lanes, bits) @
+        # (bits, pixels), and its weight block converts contiguously.
         m = job.masks[:, np.arange(n_inner) % g.kin_tiles]
         w = w_rows[w_of].reshape(m.shape)
         p, n = m & ~w, m & w
-        acc = np.empty((g.kout_tiles, pixels, tp), dtype=np.float32)
-        acc[:] = np.bitwise_count(p).sum(axis=(1, 3))[:, None]
+        acc = np.empty((g.kout_tiles, tp, pixels), dtype=np.float32)
+        acc[:] = np.bitwise_count(p).sum(axis=(1, 3))[:, :, None]
         boxes = [[_live_box(tile) for tile in tiles] for tiles in job.masks]
         for k, s in np.ndindex(g.kout_tiles, n_inner):
             box = boxes[k][s % g.kin_tiles]
@@ -244,8 +256,8 @@ class Engine:
             lanes, b0, b1 = box
             signed = (unpack_bits(p[k, s, lanes], b1).view(np.int8)
                       - unpack_bits(n[k, s, lanes], b1).view(np.int8))
-            acc[k, :, lanes] -= (x[x_of[:, k, s], b0:b1]
-                                 @ signed[:, b0:].T.astype(np.float32))
+            acc[k, lanes] -= (signed[:, b0:].astype(np.float32)
+                              @ x[x_of[k, s], b0:b1].T)
         if self.cfg.saturate:
             # popcounts are >= 0: one clamp equals a clamp per step
             np.minimum(acc, ACC_MAX, out=acc)
@@ -257,25 +269,33 @@ class Engine:
 
     def _threshold_store(self, job: JobDescriptor, acc: np.ndarray,
                          y_off: np.ndarray) -> int:
-        """Threshold the (kout_tiles, pixels, tp) accumulators and write
-        every tile's valid lanes' bytes, tiles in walk order (tile
-        pixel*kout_tiles + ko, stored at bit offset y_off[tile]);
-        returns the number of output bits written."""
-        kout_tiles, pixels, tp = acc.shape
+        """Threshold the lane-major (kout_tiles, tp, pixels)
+        accumulators and write every tile's valid lanes' bytes, tiles
+        in walk order (tile pixel*kout_tiles + ko, stored at bit offset
+        y_off[tile]); returns the number of output bits written.
+
+        Every bit is one sign-folded compare, s*acc >= s*(tau << shift)
+        with s = +1 for acc >= tau and -1 for acc <= tau (negating both
+        sides of a float32 compare is exact); an invalid lane compares
+        against +inf and so emits zero. One transpose then puts the
+        bits in store order, (pixel, ko, lane). acc is scaled in
+        place."""
+        kout_tiles, tp, pixels = acc.shape
         # each output tile's threshold row, charged once per pixel
         thr_rows, thr_of = self.mem.gather(
             job.thr_base + np.arange(kout_tiles) * tp, tp, pixels)
-        tau, lam_pos = decode_thresholds(thr_rows[thr_of][:, None])
+        tau, lam_pos = decode_thresholds(thr_rows[thr_of])
+        sign = np.where(lam_pos, 1, -1)
         # |tau << shift| <= 64 << SHIFT_MAX = 2**21: exact in float32,
         # like every accumulator value
-        eff = (tau << job.shift).astype(np.float32)
-        # invalid lanes emit zero
-        bits = (np.where(lam_pos, acc >= eff, acc <= eff)
-                & (np.arange(tp) < job.valid_out[:, None, None]))
+        eff = np.where(np.arange(tp) < job.valid_out[:, None],
+                       sign * (tau << job.shift), np.inf).astype(np.float32)
+        acc *= sign[:, :, None].astype(np.float32)
+        bits = acc >= eff[:, :, None]
         v = np.tile(job.valid_out, pixels)      # valid lanes per tile
         # the sink drops bytes past the valid lanes
         self.mem.scatter(job.y_base + y_off // 8,
-                         pack_bits(bits.swapaxes(0, 1).reshape(-1, tp))
+                         pack_bits(bits.transpose(2, 0, 1).reshape(-1, tp))
                          .view(np.uint8), (v + 7) // 8)
         return int(v.sum())
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .bintensor import BinaryTensor, BinaryWeights
-from .bits import unpack_bits
+from .bits import unpack_pm1
 from .errors import DegenerateBatchNorm, PlanError, ShapeError
 
 TAU_Q_MIN = -64
@@ -252,14 +252,14 @@ def conv_popcounts(x: BinaryTensor, w: BinaryWeights,
     h, wo = spec.h_out, spec.w_out
     dt = np.float32 if spec.n_acc < 2**24 else np.float64
     xs = x.to_bits().reshape(g, d, spec.h_in, spec.w_in).astype(dt) * 2 - 1
-    # weights unpacked once in storage order (nof, fs, fs, d); each
-    # tap's (g, nof/g, d) block is made +/-1 inside the loop
-    wb = unpack_bits(w.words, d).reshape(g, spec.nof // g, fs, fs, d)
+    # each tap's (g, nof/g, d) weight block is made +/-1 inside the
+    # loop, by one table lookup of its packed bytes
     s = np.zeros((g, spec.nof // g, h * wo), dtype=dt)
     for fi in range(fs):
         for fj in range(fs):
             win = xs[:, :, fi:fi + h, fj:fj + wo].reshape(g, d, h * wo)
-            s += (wb[:, :, fi, fj].astype(dt) * 2 - 1) @ win
+            wt = unpack_pm1(w.words[:, fi, fj], d).astype(dt, copy=False)
+            s += wt.reshape(g, spec.nof // g, d) @ win
     return (s.reshape(spec.nof, h, wo).astype(np.int64) + spec.n_acc) // 2
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DecodeError, ModeError, RegionError, ShapeError
 
@@ -42,6 +41,14 @@ def default_memory_map() -> list[Region]:
         Region("sram", 0x2010_0000, 448 * KIB),     # shared bank
         Region("hyperram", 0x8000_0000, 8 * MIB),   # external, serial link
     ]
+
+
+# the map's regions in address order, with their bases and ends: one
+# searchsorted finds the region of every access of a batch
+_BY_BASE = sorted(default_memory_map(), key=lambda r: r.base)
+_NAMES = [r.name for r in _BY_BASE]
+_BASES = np.array([r.base for r in _BY_BASE])
+_ENDS = np.array([r.base + r.size for r in _BY_BASE])
 
 
 class Memory:
@@ -99,41 +106,48 @@ class Memory:
             raise RegionError(f"word access at unaligned {addr:#x}")
         self.write(addr, np.ascontiguousarray(words, "<u4").view(np.uint8))
 
-    def _locate(self, addrs: np.ndarray, nbytes: np.ndarray
-                ) -> list[tuple[Region, np.ndarray]]:
-        """Per region, the mask of the accesses [addr, addr + nbytes)
-        it holds; RegionError naming the first access none holds."""
-        found = np.zeros(len(addrs), dtype=bool)
-        out = []
-        for r in self.regions.values():
-            mine = (addrs >= r.base) & (addrs + nbytes <= r.base + r.size)
-            if mine.any():
-                out.append((r, mine))
-                found |= mine
-        if not found.all():
-            i = int(np.argmin(found))
+    @staticmethod
+    def _locate(addrs: np.ndarray, nbytes) -> np.ndarray:
+        """Per access [addr, addr + nbytes), the index in _NAMES of the
+        region that holds it, from one searchsorted over the sorted
+        region bases; RegionError naming the first access no region
+        holds."""
+        k = np.searchsorted(_BASES, addrs, side="right") - 1
+        bad = np.flatnonzero((k < 0) | (addrs + nbytes > _ENDS[k]))
+        if len(bad):
+            i = bad[0]
+            n = np.broadcast_to(nbytes, addrs.shape)[i]
             raise RegionError(f"no region holds [{int(addrs[i]):#x}, "
-                              f"+{int(nbytes[i])})")
-        return out
+                              f"+{int(n)})")
+        return k
+
+    def _runs(self, at: np.ndarray) -> list[tuple[Region, int, int]]:
+        """(region, lo, hi) per region that holds any address of the
+        sorted, mapped addresses *at*: it holds at[lo:hi]."""
+        lo = np.searchsorted(at, _BASES).tolist()
+        hi = np.searchsorted(at, _ENDS).tolist()
+        return [(self.regions[r], a, b)
+                for r, a, b in zip(_NAMES, lo, hi) if b > a]
 
     def gather(self, addrs, nbytes: int, repeat: int = 1
                ) -> tuple[np.ndarray, np.ndarray]:
         """read(a, nbytes), *repeat* times over, for every address a of
         addrs, fetching each distinct address once: (rows, inverse),
         the distinct addresses' bytes as a (k, nbytes) uint8 array and,
-        per access, its row."""
+        per access, its row. Each region's rows are read through one
+        strided view of its buffer, row a holding bytes [a, a + nbytes)."""
         addrs = np.asarray(addrs, dtype=np.int64)
-        located = self._locate(addrs, np.full(len(addrs), nbytes))
-        uniq, first, inverse = np.unique(addrs, return_index=True,
-                                         return_inverse=True)
+        k = self._locate(addrs, nbytes)
+        counts = np.bincount(k, minlength=len(_NAMES)).tolist()
+        for r, n in zip(_NAMES, counts):
+            self.traffic[r]["read_bits"] += 8 * nbytes * repeat * n
+        uniq, inverse = np.unique(addrs, return_inverse=True)
         rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
-        for r, mine in located:
-            self.traffic[r.name]["read_bits"] += (
-                8 * nbytes * repeat * int(np.count_nonzero(mine)))
+        for r, lo, hi in self._runs(uniq):
             if r.name in self._buf:
-                sel = mine[first]
-                rows[sel] = sliding_window_view(
-                    self._buf[r.name], nbytes)[uniq[sel] - r.base]
+                view = np.ndarray((r.size - nbytes + 1, nbytes), np.uint8,
+                                  self._buf[r.name], 0, (1, 1))
+                rows[lo:hi] = view[uniq[lo:hi] - r.base]
         return rows, inverse
 
     def gather_words(self, addrs, nwords: int, repeat: int = 1
@@ -150,20 +164,35 @@ class Memory:
 
     def scatter(self, addrs, rows: np.ndarray, nbytes) -> None:
         """write(addrs[i], rows[i, :nbytes[i]]) for every i, in order:
-        where two writes overlap, the later one's bytes stay."""
+        where two writes overlap, the later one's bytes stay. When the
+        rows are pairwise disjoint (sorted by start, each ends at or
+        before the next begins), no byte is written twice, so the order
+        of the writes cannot show and every byte is written at once;
+        otherwise each byte keeps its last write."""
         addrs = np.asarray(addrs, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.uint8)
         nbytes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64),
                                  addrs.shape)
+        k = self._locate(addrs, nbytes)
+        written = np.bincount(k, nbytes, len(_NAMES)).tolist()
+        for r, n in zip(_NAMES, written):
+            self.traffic[r]["write_bits"] += 8 * int(n)
+        order = np.argsort(addrs, kind="stable")
+        start = addrs[order]
+        disjoint = np.all(start[:-1] + nbytes[order][:-1] <= start[1:])
+        if disjoint:
+            # sorted by start, the bytes of disjoint rows are sorted too
+            addrs, rows, nbytes = start, rows[order], nbytes[order]
         keep = np.arange(rows.shape[1]) < nbytes[:, None]
-        for r, mine in self._locate(addrs, nbytes):
-            self.traffic[r.name]["write_bits"] += 8 * int(nbytes[mine].sum())
-            at = (addrs[mine] - r.base)[:, None] + np.arange(rows.shape[1])
+        at = (addrs[:, None] + np.arange(rows.shape[1]))[keep]
+        vals = rows[keep]
+        if not disjoint:
             # flattened in write order, reversed: a byte's first
             # occurrence is its last write
-            at, vals = at[keep[mine]][::-1], rows[mine][keep[mine]][::-1]
-            at, last = np.unique(at, return_index=True)
-            self._writable(r)[at] = vals[last]
+            at, last = np.unique(at[::-1], return_index=True)
+            vals = vals[::-1][last]
+        for r, lo, hi in self._runs(at):
+            self._writable(r)[at[lo:hi] - r.base] = vals[lo:hi]
 
 
 # ---------------------------------------------------------------------------

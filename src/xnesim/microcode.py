@@ -545,7 +545,9 @@ def walk_offsets(prog: MicrocodeProgram, ro_values: np.ndarray) -> np.ndarray:
     iterations of loop k start in u, Q_k(u), Q_k^2(u), ... with
     Q_k = F_k P_k, and P_{k+1} = P_k Q_k^(r_k - 1). The stream is then
     expanded from the outermost loop in: each start state becomes the
-    r_k start states of the next loop in.
+    r_k start states of the next loop in. A loop of one trip never
+    fires and contributes only the identity (Q_k^0 = I, P_{k+1} = P_k),
+    so it is skipped.
     """
     prog.validate()
     ro = np.asarray(ro_values, dtype=np.uint32)
@@ -556,8 +558,10 @@ def walk_offsets(prog: MicrocodeProgram, ro_values: np.ndarray) -> np.ndarray:
     if 0 in ranges:
         return np.zeros((0, 3), dtype=np.int64)
     p = np.eye(N_RW + 1, dtype=np.uint64)
-    qpow = []     # per loop, Q_k^0 .. Q_k^(r_k - 1)
+    qpow = []     # per loop of r_k > 1 trips, Q_k^0 .. Q_k^(r_k - 1)
     for lp, r in zip(prog.loops, ranges):
+        if r == 1:
+            continue
         qpow.append(_powers(_window_map(prog, lp, ro) @ p, r))
         p = p @ qpow[-1][-1]
     states = np.zeros((N_RW + 1, 1), dtype=np.uint64)

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bintensor import BinaryTensor, BinaryWeights, image_bytes
+from .bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
+                        image_bytes)
 from .bits import words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
@@ -477,7 +478,7 @@ def verify_layers(n_layers: int, seed: int, tp: int = 128,
             raise type(ex)(f"layer {i}: {spec}, --seed {seed} --tp {tp}: "
                            f"{ex}") from ex
         want = layer_golden(x, w, spec, thr)
-        mism = int(np.sum(run.output.to_bits() != want.to_bits()))
+        mism = bit_mismatches(run.output, want)
         records.append({"layer": i, "spec": spec, "mismatches": mism,
                         "ops": run.ops})
     return records

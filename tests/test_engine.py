@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xnesim import engine
 from xnesim.engine import (ACC_MAX, VALID_TPS, Engine, EngineConfig,
@@ -12,7 +13,8 @@ from xnesim.errors import PlanError, RegionError, ShapeError
 from xnesim.golden import (SHIFT_MAX, TAU_Q_MIN, LayerSpec, ThresholdSpec,
                            layer_golden, random_layer_data)
 from xnesim.memory import Memory, default_memory_map
-from xnesim.microcode import reference_program, ucode_registers, walk_offsets
+from xnesim.microcode import (JobGeometry, reference_program, ucode_registers,
+                              walk_offsets)
 from xnesim.runner import (execute_layer, layer_cost, load_job, plan_layer,
                            random_threshold_spec)
 
@@ -210,6 +212,82 @@ def test_masks_with_holes_match_per_lane_oracle(tp):
     y = want.read(job.y_base, 4 * 12 * ((tp + 9 + 31) // 32))
     assert 0 < np.bitwise_count(y).sum() < 12 * (tp + 9)
     sched = phase_schedule(3, 12, 2, 2, tp + 9)
+    assert res.schedule == sched and res.cycles == sched.total
+
+
+# the fuzz runs the oracle twice per example: at most this many walk
+# steps, and steps * tp * tp unpacked weight bits
+FUZZ_STEPS, FUZZ_BITS = 192, 2**23
+
+
+def _holed_masks(rng, kout, kin, tp):
+    """(kout, kin, tp, tp//32) masks the planner never makes: empty
+    tiles, sparse and dense tiles, empty lanes and single-bit lanes,
+    with bits 0 and tp-1 often among them."""
+    m = np.zeros((kout, kin, tp, tp), dtype=bool)
+    for ko, ki in np.ndindex(kout, kin):
+        density = (0.0, 0.03, 0.5, 1.0)[rng.integers(0, 4)]
+        tile = rng.random((tp, tp)) < density
+        kind = rng.integers(0, 4, tp)       # 0 empty, 1 one bit, else as is
+        tile[kind < 2] = False
+        single = np.flatnonzero(kind == 1)
+        tile[single, rng.choice([0, tp - 1, rng.integers(tp)],
+                                len(single))] = True
+        m[ko, ki] = tile
+    return np.packbits(m, axis=-1, bitorder="little").view("<u4")
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_hand_built_descriptors_match_per_lane_oracle(data):
+    # any TP, filter size, tile counts and pixels within the oracle's
+    # budget; a band step, and output pixels that may overlap (the
+    # stride one word short of the tiles) or leave gaps
+    tp = data.draw(st.sampled_from(VALID_TPS))
+    fs = data.draw(st.sampled_from([1, 3, 5]))
+    cap = min(FUZZ_STEPS, FUZZ_BITS // tp**2) // (fs * fs)
+    kin = data.draw(st.integers(1, min(3, cap)))
+    kout = data.draw(st.integers(1, min(3, cap // kin)))
+    h = data.draw(st.integers(1, min(3, cap // (kin * kout))))
+    w = data.draw(st.integers(1, min(3, cap // (kin * kout * h))))
+    band_step = 32 * data.draw(st.integers(0, tp // 32))
+    y_pixel = kout * tp + 32 * data.draw(st.integers(-1, 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    geom = JobGeometry(tp, fs, h, w, kin, kout, band_step, kin * tp,
+                       (w + fs - 1) * kin * tp, y_pixel, w * y_pixel)
+    offs = walk_offsets(reference_program(), ucode_registers(geom))
+
+    mem = Memory()
+    l1 = mem.base("l1")
+    x_bytes = (int(offs[:, 1].max()) + tp) // 8
+    mem.write(l1, rng.integers(0, 256, x_bytes, dtype=np.uint8))
+    w_bytes = kout * fs * fs * kin * tp * tp // 8
+    fits = w_bytes + kout * tp <= mem.regions["sram"].size
+    w_base = mem.base("sram" if fits else "hyperram")
+    mem.write(w_base, rng.integers(0, 256, w_bytes, dtype=np.uint8))
+    valid_out = rng.choice([1, tp, rng.integers(1, tp + 1)], kout)
+    job = JobDescriptor(geom, w_base, l1, l1 + 4 * -(-x_bytes // 4),
+                        w_base + w_bytes, 0,
+                        _holed_masks(rng, kout, kin, tp), valid_out)
+    # thresholds at each lane's median accumulator, both directions;
+    # every accumulator is at most n_inner * tp < 2**16, so no clamp
+    acc = _oracle_run(copy.deepcopy(mem), job).reshape(-1, kout * tp)
+    med = np.median(acc, axis=0).astype(np.int64)
+    shift = max(0, int(med.max()).bit_length() - 6)
+    mem.write(job.thr_base, encode_thresholds(ThresholdSpec(
+        med >> shift, rng.random(kout * tp) < 0.5, shift)))
+    job = dataclasses.replace(job, shift=shift)
+
+    want = copy.deepcopy(mem)
+    _oracle_run(want, job)
+    res = run_single_job(EngineConfig(tp=tp), mem, job)
+    y_end = job.y_base + (int(offs[:, 2].max()) + tp) // 8
+    assert np.array_equal(mem.read(job.y_base, y_end - job.y_base),
+                          want.read(job.y_base, y_end - job.y_base))
+    size = mem.regions["l1"].size
+    assert np.array_equal(mem.read(l1, size), want.read(l1, size))
+    assert mem.traffic == want.traffic
+    sched = phase_schedule(fs, h * w, kin, kout, int(valid_out.sum()))
     assert res.schedule == sched and res.cycles == sched.total
 
 

@@ -88,6 +88,60 @@ def test_gather_and_scatter_equal_single_accesses():
     assert many.traffic == one.traffic
 
 
+def _scatter_both(addrs, rows, nbytes):
+    """One scatter, and one write per access in order, on two fresh
+    memories; asserts equal traffic and equal bytes in every region."""
+    many, one = Memory(), Memory()
+    many.scatter(addrs, rows, nbytes)
+    for a, r, n in zip(np.asarray(addrs).tolist(), rows,
+                       np.broadcast_to(nbytes, len(rows)).tolist()):
+        one.write(a, r[:n])
+    assert many.traffic == one.traffic
+    for r in many.regions.values():
+        assert np.array_equal(many.read(r.base, r.size),
+                              one.read(r.base, r.size)), r.name
+    return many, one
+
+
+def test_gather_and_scatter_across_regions():
+    # accesses alternate between l1 and sram, with scm never written:
+    # each finds its own region, in data and in traffic
+    rng = np.random.default_rng(1)
+    l1, sram, scm = (Memory().base(n) for n in ("l1", "sram", "scm"))
+    addrs = np.where(np.arange(30) % 2, l1, sram) + 16 * np.arange(30)
+    rows = rng.integers(0, 256, (30, 16), dtype=np.uint8)
+    many, one = _scatter_both(addrs, rows, rng.integers(1, 17, 30))
+    reads = np.concatenate([addrs[::-1], addrs[:5], [scm, scm + 8]])
+    got, inverse = many.gather_words(reads, 2, 3)
+    want = [one.read_words(a, 2) for a in reads.tolist() for _ in range(3)]
+    assert np.array_equal(np.repeat(got[inverse], 3, axis=0), want)
+    assert not got[inverse][-2:].any()      # never-written scm reads zero
+    assert many.traffic == one.traffic
+
+
+def test_scatter_disjoint_rows_out_of_address_order():
+    # rows of mixed lengths that never share a byte, given in a
+    # shuffled order: written at once, as one write each would
+    rng = np.random.default_rng(2)
+    starts = np.cumsum(rng.integers(1, 9, 50))
+    nbytes = np.diff(starts, append=starts[-1] + 8) - rng.integers(0, 2, 50)
+    order = rng.permutation(50)
+    rows = rng.integers(1, 256, (50, 8), dtype=np.uint8)
+    _scatter_both(Memory().base("l1") + starts[order], rows,
+                  nbytes[order])
+
+
+def test_scatter_one_overlapping_pair_keeps_the_later_write():
+    a = Memory().base("sram")
+    rows = np.array([[1] * 8, [2] * 8, [3] * 8, [4] * 8], dtype=np.uint8)
+    # rows 1 and 3 overlap in bytes 20..23: row 3, written later, wins
+    many, _ = _scatter_both([a + 40, a + 16, a, a + 20], rows, [8, 8, 4, 8])
+    assert many.read(a + 16, 12).tolist() == [2] * 4 + [4] * 8
+    # and the earlier row's bytes stay where the later one stops short
+    many, _ = _scatter_both([a + 16, a + 18], rows[[1, 3]], [8, 4])
+    assert many.read(a + 16, 8).tolist() == [2] * 2 + [4] * 4 + [2] * 2
+
+
 def test_gather_and_scatter_name_the_first_bad_access():
     m = Memory()
     scm, end = m.base("scm"), m.base("scm") + m.regions["scm"].size

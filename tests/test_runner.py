@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xnesim.bintensor import BinaryTensor, BinaryWeights
+from xnesim.bintensor import BinaryTensor, BinaryWeights, bit_mismatches
 from xnesim.engine import VALID_TPS, EngineConfig
 from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
 from xnesim.golden import LayerSpec, conv_popcounts, random_layer_data
@@ -354,6 +354,25 @@ def test_threshold_stream_padding():
 def test_execute_layer_matches_golden_randomized():
     recs = verify_layers(40, seed=11)
     assert sum(r["mismatches"] for r in recs) == 0
+
+
+@pytest.mark.parametrize("k", [1, 7, 45 * 6])
+def test_bit_mismatches_count_flipped_bits(k):
+    # 45 channels: each pixel's word vector has 19 pad bits
+    spec = LayerSpec(nif=40, nof=45, fs=3, h_out=2, w_out=3)
+    rng = np.random.default_rng(k)
+    x, w = random_layer_data(rng, spec)
+    thr = random_threshold_spec(rng, spec)
+    run = execute_layer(CFG, spec, x, w, thr)
+    want = layer_golden(x, w, spec, thr)
+    assert bit_mismatches(run.output, want) == 0
+    bits = want.to_bits().ravel()
+    bits[rng.choice(bits.size, k, replace=False)] ^= 1
+    flipped = BinaryTensor.from_bits(bits.reshape(45, 2, 3))
+    assert bit_mismatches(run.output, flipped) == k
+    assert bit_mismatches(flipped, run.output) == k
+    with pytest.raises(ShapeError):
+        bit_mismatches(run.output, x)
 
 
 def test_execute_layer_shape_checks():
