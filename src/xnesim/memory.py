@@ -1,4 +1,5 @@
-"""Memory map, stream realigner and the energy/operating-point model.
+"""Memory map, placement, stream realigner and the energy/operating-point
+model.
 
 The accelerator lives in a cluster with a small standard-cell memory,
 a larger shared SRAM bank, a core-coupled scratchpad, and an external
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -24,7 +26,7 @@ KIB = 1024
 MIB = 1024 * KIB
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
     name: str
     base: int
@@ -236,6 +238,51 @@ def realign(words: np.ndarray, byte_offset: int, nbytes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Placement: where a layer's data lives
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where each kind of a layer's data lives under one
+    ModeEnergy.weights_region, as regions of default_memory_map(), so a
+    capacity is its region's size. The functional path keeps its images
+    in `images` and its weight and threshold streams in `streams`,
+    whatever the mode. The analytic path keeps parameters in `params`,
+    staged in sram when `marshal` and fetched over the HyperRAM link
+    when `link`, and live activations, im2col inputs not counted, in
+    `activations` together. The paths disagree on activations, on
+    weights and on parameter size (blocks padded to tp x tp bits vs
+    packed bits); both sides are kept as they are.
+    """
+
+    weights_region: str
+    images: Region
+    streams: Region
+    params: Region
+    activations: tuple[Region, ...]
+    marshal: bool
+    link: bool
+
+    @cached_property
+    def activation_bytes(self) -> int:
+        return sum(r.size for r in self.activations)
+
+
+_REGION = {r.name: r for r in _BY_BASE}
+# one per ModeEnergy.weights_region: its name and its parameter region
+PLACEMENTS = {
+    name: Placement(name, images=_REGION["l1"], streams=_REGION["sram"],
+                    params=_REGION[params],
+                    activations=(_REGION["sram"], _REGION["scm"]),
+                    marshal=name == "sram_marshal", link=name == "hyperram")
+    for name, params in (("scm", "scm"), ("sram", "sram"),
+                         ("sram_marshal", "sram"), ("hyperram", "hyperram"))}
+# the functional path takes no mode; its images and streams are the
+# same in every placement
+FUNCTIONAL = PLACEMENTS["sram"]
+
+
+# ---------------------------------------------------------------------------
 # Energy model and operating points
 
 
@@ -247,12 +294,6 @@ def _check_range(what: str, value: float, positive: bool) -> None:
                           f"got {value}")
 
 
-# where each ModeEnergy.weights_region keeps the parameters;
-# marshalled parameters are staged in sram
-PARAM_REGION = {"scm": "scm", "sram": "sram", "sram_marshal": "sram",
-                "hyperram": "hyperram"}
-
-
 @dataclass(frozen=True)
 class ModeEnergy:
     """One voltage/placement operating point.
@@ -260,26 +301,26 @@ class ModeEnergy:
     Per-op energy splits into the engine datapath and the local memory
     traffic bundled with each op; parameters additionally pay per-bit
     costs depending on where they live (see CoefficientSet). A
-    non-positive clock, a negative energy or a placement outside
-    PARAM_REGION raises DecodeError.
+    non-positive clock, a negative energy or a weights_region with no
+    Placement raises DecodeError.
     """
 
     name: str
     engine_fj_per_op: float
     local_fj_per_op: float
     freq_mhz: float
-    weights_region: str        # a key of PARAM_REGION
+    weights_region: str        # a key of PLACEMENTS
 
     def __post_init__(self):
         for k in ("engine_fj_per_op", "local_fj_per_op", "freq_mhz"):
             _check_range(f"mode {self.name!r} {k}", getattr(self, k),
                          positive=k == "freq_mhz")
         if not (isinstance(self.weights_region, str)
-                and self.weights_region in PARAM_REGION):
+                and self.weights_region in PLACEMENTS):
             raise DecodeError(
                 f"mode {self.name!r} weights_region "
                 f"{self.weights_region!r} is not one of "
-                f"{', '.join(PARAM_REGION)}")
+                f"{', '.join(PLACEMENTS)}")
 
     @property
     def total_fj_per_op(self) -> float:

@@ -41,13 +41,10 @@ from .errors import CapacityError, PlanError, ShapeError, XneError
 from .golden import (LayerSpec, ThresholdSpec, check_layer_inputs,
                      derive_thresholds, layer_golden, random_batchnorm,
                      random_layer_data)
-from .memory import (KIB, PARAM_REGION, CoefficientSet, EnergyBreakdown,
-                     Memory, account_energy, default_memory_map)
+from .memory import (FUNCTIONAL, KIB, PLACEMENTS, CoefficientSet,
+                     EnergyBreakdown, Memory, account_energy)
 from .microcode import JobGeometry
 from .networks import NetworkDescriptor
-
-REGION_BYTES = {r.name: r.size for r in default_memory_map()}
-ONCHIP_SHARED_BYTES = REGION_BYTES["sram"] + REGION_BYTES["scm"]  # activations
 
 
 @dataclass
@@ -154,16 +151,17 @@ class LayerCost:
         return image_bytes(s.nif, s.h_in, s.w_in) + self._slack
 
     def check_buffers(self) -> None:
-        """CapacityError unless both images and their slack fit l1 and
-        the jobs' streams, end to end, fit sram: before any data
-        exists."""
-        s = self.spec
+        """CapacityError unless both images and their slack fit the
+        functional placement's images region and the jobs' streams, end
+        to end, fit its streams region: before any data exists."""
+        s, images, streams = self.spec, FUNCTIONAL.images, FUNCTIONAL.streams
         if (self.y_offset + image_bytes(s.nof, s.h_out, s.w_out)
-                + self._slack > REGION_BYTES["l1"]):
-            raise CapacityError("activations exceed the core-coupled memory")
-        if self.jobs * self.job_bytes > REGION_BYTES["sram"]:
-            raise CapacityError("weight stream and thresholds exceed "
-                                "the sram region")
+                + self._slack > images.size):
+            raise CapacityError(f"activations exceed the {images.name} "
+                                f"region")
+        if self.jobs * self.job_bytes > streams.size:
+            raise CapacityError(f"weight stream and thresholds exceed "
+                                f"the {streams.name} region")
 
 
 def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
@@ -291,7 +289,8 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
                   w: BinaryWeights, thr: ThresholdSpec,
                   mem: Memory | None = None) -> LayerRun:
     """Build memory images, run every job, decode the output tensor:
-    images in l1, the jobs' streams end to end from the base of sram."""
+    images in the functional placement's images region, the jobs'
+    streams end to end from the base of its streams region."""
     check_layer_inputs(x, w, spec)
     if thr.nof != spec.nof:
         raise ShapeError("threshold channel count mismatch")
@@ -299,14 +298,14 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
     cost = plan.cost
     mem = mem or Memory()
     cost.check_buffers()
-    x_base = mem.base("l1")
+    x_base = FUNCTIONAL.images.base
     y_base = x_base + cost.y_offset
     mem.write_words(x_base, x.flat_words())
 
     eng = Engine(cfg, mem)
     runs = []
     for i, job in enumerate(plan.jobs):
-        w_base = mem.base("sram") + i * cost.job_bytes    # word aligned
+        w_base = FUNCTIONAL.streams.base + i * cost.job_bytes  # word aligned
         desc = load_job(mem, job, spec, w, thr, w_base, x_base, y_base)
         runs.append(eng.run_next(desc))
 
@@ -409,19 +408,22 @@ class NetworkReport:
 
 def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
     """CapacityError unless the descriptor's footprint, stored when it
-    was built, fits: its packed parameters in the mode's parameter
-    region, its activation peak in the shared on-chip memory."""
-    cap = 8 * REGION_BYTES[PARAM_REGION[mode_region]]
+    was built, fits the placement of the mode's weights_region: its
+    packed parameters in the parameter region, its activation peak in
+    the activation regions together."""
+    p = PLACEMENTS[mode_region]
     bits = net.packed_param_bits
-    if bits > cap:
+    if bits > 8 * p.params.size:
         raise CapacityError(
             f"{net.name}: {bits / 8 / KIB:.1f} KiB of parameters exceed "
-            f"the {cap / 8 / KIB:.0f} KiB of the {mode_region} placement")
+            f"the {p.params.size / KIB:.0f} KiB of {p.params.name} in the "
+            f"{mode_region} placement")
     act = net.activation_peak_bytes()
-    if act > ONCHIP_SHARED_BYTES:
+    if act > p.activation_bytes:
+        names = " + ".join(r.name for r in p.activations)
         raise CapacityError(
             f"{net.name}: {act / KIB:.1f} KiB of live activations exceed "
-            f"the {ONCHIP_SHARED_BYTES / KIB:.0f} KiB on chip")
+            f"the {p.activation_bytes / KIB:.0f} KiB of {names}")
 
 
 def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
@@ -431,12 +433,11 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     m = cs.mode(mode)
     EngineConfig(tp=tp)   # rejects a bad tp before check_fit
     check_fit(net, m.weights_region)
+    p = PLACEMENTS[m.weights_region]
     f_hz = m.freq_mhz * 1e6
-    hyper = m.weights_region == "hyperram"
-    marshal = m.weights_region == "sram_marshal"
-    if hyper:
+    if p.link:
         bits_per_s = cs.hyperram_bits_per_s
-    elif marshal:
+    elif p.marshal:
         bits_per_s = cs.marshal_bits_per_cycle * f_hz
     else:
         bits_per_s = math.inf   # resident parameters: no transfer
@@ -449,8 +450,8 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
         transfer_s = bits / bits_per_s
         bound = "memory" if transfer_s > compute_s else "compute"
         sec = max(compute_s, transfer_s)
-        energy = account_energy(cost.ops, bits if marshal else 0,
-                                bits if hyper else 0, sec, m, cs)
+        energy = account_energy(cost.ops, bits if p.marshal else 0,
+                                bits if p.link else 0, sec, m, cs)
         rep.rows.append(LayerRow(nl.name, cost.ops, bits, cycles,
                                  compute_s, transfer_s, bound, energy))
     return rep

@@ -1,7 +1,10 @@
 """Every name a module imports is used in it, so a stale import fails
-tier-1 without a linter."""
+tier-1 without a linter; and the packages the code imports are the
+ones pyproject.toml declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/xnesim", "tests", "scripts")
                  for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
+# import names of the distributions whose names differ from them
+IMPORT_NAMES = {"pyyaml": "yaml"}
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -22,3 +27,35 @@ def test_imported_names_are_used(path):
                 for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _declared(table: str, key: str) -> set[str]:
+    """Import names of the requirements in array *key* of *table* in
+    pyproject.toml. Read by pattern: tomllib is not in Python 3.10."""
+    text = (ROOT / "pyproject.toml").read_text()
+    body = re.search(rf"^\[{re.escape(table)}\]\n(.*?)(?=^\[|\Z)", text,
+                     re.M | re.S).group(1)
+    array = re.search(rf"^{key}\s*=\s*\[(.*?)\]", body, re.M | re.S).group(1)
+    return {IMPORT_NAMES.get(n.lower(), n.lower().replace("-", "_"))
+            for n in re.findall(r'"\s*([A-Za-z0-9][\w.-]*)', array)}
+
+
+def _imported(directory: str) -> set[str]:
+    """Top-level modules imported under *directory*, outside the
+    standard library; relative imports are the package's own."""
+    names = set()
+    for path in (ROOT / directory).rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return names - sys.stdlib_module_names
+
+
+def test_imports_are_declared_dependencies():
+    deps = _declared("project", "dependencies")
+    assert _imported("src/xnesim") - {"xnesim"} == deps
+    allowed = (deps | _declared("project.optional-dependencies", "test")
+               | {"xnesim"})
+    assert _imported("tests") <= allowed

@@ -1,13 +1,18 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from xnesim.bintensor import BinaryTensor, BinaryWeights, bit_mismatches
-from xnesim.engine import VALID_TPS, EngineConfig
+from xnesim.bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
+                              image_bytes)
+from xnesim.engine import (JOB_OVERHEAD, PHASE_GAP, STREAM_SETUP, VALID_TPS,
+                           EngineConfig)
 from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
 from xnesim.golden import LayerSpec, conv_popcounts, random_layer_data
-from xnesim.memory import CoefficientSet, Memory
+from xnesim.memory import (FUNCTIONAL, PLACEMENTS, CoefficientSet, Memory,
+                           default_memory_map)
+from xnesim.microcode import reference_program, ucode_registers, walk_offsets
 from xnesim.networks import NetLayer, NetworkDescriptor, get_network
 from xnesim.golden import layer_golden
 from xnesim.runner import (check_fit, execute_layer, layer_cost, load_job,
@@ -69,17 +74,15 @@ NETWORKS = ("resnet18", "resnet34", "mvgg-1", "mvgg-2", "mvgg-4", "mvgg-8",
 
 
 def _planned(spec, tp):
-    """The plan's job count, its schedules summed part by part, and the
-    ops its masks connect; or PlanError's message."""
+    """The plan's job count and the ops its masks connect; or
+    PlanError's message."""
     try:
         plan = plan_layer(spec, tp)
     except PlanError as ex:
         return str(ex)
-    scheds = plan.schedules(EngineConfig(tp=tp))
     ops = sum(2 * spec.fs * spec.fs * spec.h_out * spec.w_out
               * int(np.bitwise_count(j.masks()).sum()) for j in plan.jobs)
-    return (len(plan.jobs),
-            tuple(sum(getattr(s, p) for s in scheds) for p in PARTS), ops)
+    return len(plan.jobs), ops
 
 
 def _closed_form(spec, tp):
@@ -88,8 +91,41 @@ def _closed_form(spec, tp):
     except PlanError as ex:
         return str(ex)
     assert cost.ops == spec.ops
-    return (cost.jobs, tuple(getattr(cost.schedule, p) for p in PARTS),
-            cost.ops)
+    return cost.jobs, cost.ops
+
+
+def _walked(spec, tp):
+    """Phase cycles counted from the walk of each planned job, part by
+    part; None when the layer does not plan. A step is one block: a
+    feature load of STREAM_SETUP + 1, two gaps and one accumulate cycle
+    per valid lane of its tile. A tile starts wherever the output
+    offset y moves: a threshold phase of STREAM_SETUP, then tp bytes
+    over tp // 32 ports of 4 bytes, then 1 + 1, and two gaps. One
+    JOB_OVERHEAD per job. Only the three constants are shared with the
+    engine."""
+    try:
+        jobs = plan_layer(spec, tp).jobs
+    except PlanError:
+        return None
+    parts = np.zeros(len(PARTS), dtype=np.int64)
+    for job in jobs:
+        y = walk_offsets(reference_program(), ucode_registers(job.geom))[:, 2]
+        starts = np.r_[0, np.flatnonzero(y[1:] != y[:-1]) + 1]
+        blocks, tiles = len(y), len(starts)
+        lanes = job.valid_out[np.arange(tiles) % job.geom.kout_tiles]
+        parts += (blocks * (STREAM_SETUP + 1),
+                  int(lanes @ np.diff(starts, append=blocks)),
+                  tiles * (STREAM_SETUP + tp // (tp // 32 * 4) + 2),
+                  (2 * blocks + 2 * tiles) * PHASE_GAP, JOB_OVERHEAD)
+    return tuple(parts.tolist())
+
+
+def _scheduled(spec, tp):
+    try:
+        schedule = layer_cost(spec, tp).schedule
+    except PlanError:
+        return None
+    return tuple(getattr(schedule, p) for p in PARTS)
 
 
 def _kinds(spec, tp):
@@ -124,6 +160,9 @@ def _grouped_spec(rng):
 
 
 def test_layer_cost_equals_plan_on_every_network_layer():
+    # jobs, ops and PlanErrors at every tp; phase cycles counted from
+    # the walk at tp 128 only (0.1 s), as the walks at every tp take
+    # over 1 s
     kinds = set()
     for net in map(get_network, NETWORKS):
         for nl in net.layers:
@@ -131,6 +170,8 @@ def test_layer_cost_equals_plan_on_every_network_layer():
                 assert (_closed_form(nl.spec, tp)
                         == _planned(nl.spec, tp)), (net.name, nl.name, tp)
                 kinds |= _kinds(nl.spec, tp)
+            assert (_scheduled(nl.spec, 128)
+                    == _walked(nl.spec, 128)), (net.name, nl.name)
     assert kinds >= {"dense", "folded-band", "per-band", "npg>1", "PlanError"}
 
 
@@ -141,6 +182,7 @@ def test_layer_cost_equals_plan_on_grouped_sweep():
         spec = _grouped_spec(rng)
         for tp in VALID_TPS:
             assert _closed_form(spec, tp) == _planned(spec, tp), (spec, tp)
+            assert _scheduled(spec, tp) == _walked(spec, tp), (spec, tp)
             kinds |= _kinds(spec, tp)
     assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
                      "npg>1", "PlanError"}
@@ -211,8 +253,8 @@ def test_execute_layer_rejects_streams_before_writing():
     # the layer is rejected before its first job touches memory
     spec = LayerSpec(nif=2048, nof=512, fs=3, h_out=1, w_out=1, d=1024)
     cost = layer_cost(spec, 128)
-    assert cost.jobs == 2 and cost.job_bytes < 448 * 1024
-    assert cost.jobs * cost.job_bytes > 448 * 1024
+    size = FUNCTIONAL.streams.size
+    assert cost.jobs == 2 and cost.job_bytes < size < 2 * cost.job_bytes
     rng = np.random.default_rng(5)
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
@@ -442,6 +484,60 @@ def test_load_job_capacity():
         assert peak < 2**20
 
 
+def test_load_job_stream_ending_at_region_end():
+    # a stream that ends exactly at the end of its region loads; one
+    # word later it names the region
+    spec = LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)
+    rng = np.random.default_rng(7)
+    _, w = random_layer_data(rng, spec)
+    thr = random_threshold_spec(rng, spec)
+    job = plan_layer(spec, 128).jobs[0]
+    streams = FUNCTIONAL.streams
+    end = streams.base + streams.size - layer_cost(spec, 128).job_bytes
+    load_job(Memory(), job, spec, w, thr, end, 0, 0)
+    with pytest.raises(CapacityError, match=f"the {streams.name} region"):
+        load_job(Memory(), job, spec, w, thr, end + 4, 0, 0)
+
+
+def test_check_buffers_images_boundary():
+    # fs=1 and one word per pixel at tp 128: the input, the output and
+    # a 512-byte slack after each fill the images region at 8,064
+    # pixels; one pixel more names the region
+    images = FUNCTIONAL.images
+    for extra in (0, 1):
+        cost = layer_cost(LayerSpec(nif=32, nof=32, fs=1, h_out=1,
+                                    w_out=8064 + extra), 128)
+        assert 2 * cost.y_offset == images.size + 8 * extra
+        if extra:
+            with pytest.raises(CapacityError,
+                               match=f"activations exceed the {images.name} "):
+                cost.check_buffers()
+        else:
+            cost.check_buffers()
+
+
+@pytest.mark.parametrize("tp", VALID_TPS)
+def test_check_buffers_stream_boundary(tp):
+    # fs=1 and one output tile: a job streams kin_tiles blocks of
+    # tp*tp bits, then tp threshold bytes, a sum that never equals the
+    # streams region's size. The most input tiles that fit, then one
+    # more, which names the region
+    streams = FUNCTIONAL.streams
+    block = tp * tp // 8
+    most = (streams.size - tp) // block
+    assert (streams.size - tp) % block
+    for tiles in (most, most + 1):
+        cost = layer_cost(LayerSpec(nif=tiles * tp, nof=1, fs=1, h_out=1,
+                                    w_out=1), tp)
+        assert cost.job_bytes == tiles * block + tp
+        if tiles > most:
+            with pytest.raises(CapacityError,
+                               match=f"thresholds exceed the {streams.name} "):
+                cost.check_buffers()
+        else:
+            cost.check_buffers()
+
+
 # per job: (kin_tiles, valid lanes per output tile)
 TRAFFIC_CASES = {
     "dense": (LayerSpec(nif=64, nof=64, fs=3, h_out=2, w_out=2),
@@ -455,37 +551,82 @@ TRAFFIC_CASES = {
 }
 
 
-def test_execute_layer_traffic_counted():
-    # l1 holds the input and output images: the input is written once,
-    # every step reads one tp-bit feature vector, every tile writes the
-    # bytes of its valid lanes, and the output is read back once. sram
-    # holds each job's weight stream and threshold bytes: every step
-    # reads one tp x tp block, every tile reads tp threshold bytes.
-    for name, (spec, jobs) in TRAFFIC_CASES.items():
-        _check_traffic(name, spec, jobs)
+def _valid_lanes(cost):
+    """Valid lanes per output tile of each of cost's jobs."""
+    return [min(cost.tp, cost.n_out - k) for k in range(0, cost.n_out,
+                                                        cost.tp)]
 
 
-def _check_traffic(name, spec, jobs):
-    rng = np.random.default_rng(6)
-    x, w = random_layer_data(rng, spec)
-    thr = random_threshold_spec(rng, spec)
+def _traffic(spec, tp):
+    """Memory.traffic of one execute_layer run, from layer_cost's fields.
+    The placement's images region holds the input and output images:
+    the input is written once, every step reads one tp-bit feature
+    vector, every tile writes the bytes of its valid lanes, and the
+    output is read back once. Its streams region holds each job's
+    weight stream and threshold bytes: every step reads one tp x tp
+    block, every tile reads tp threshold bytes. No other region is
+    touched."""
+    cost = layer_cost(spec, tp)
+    pixels = cost.jobs * spec.h_out * spec.w_out      # over all jobs
+    tiles = pixels * cost.kout_tiles
+    steps = tiles * spec.fs ** 2 * cost.kin_tiles
+    stored = sum(8 * -(-v // 8) for v in _valid_lanes(cost))   # per pixel
+    want = {r.name: {"read_bits": 0, "write_bits": 0}
+            for r in default_memory_map()}
+    want[FUNCTIONAL.images.name] = {
+        "read_bits": steps * tp
+        + 8 * image_bytes(spec.nof, spec.h_out, spec.w_out),
+        "write_bits": 8 * image_bytes(spec.nif, spec.h_in, spec.w_in)
+        + pixels * stored}
+    want[FUNCTIONAL.streams.name] = {
+        "read_bits": steps * tp * tp + tiles * 8 * tp,
+        "write_bits": cost.jobs * cost.kout_tiles
+        * (spec.fs ** 2 * cost.kin_tiles * tp * tp + 8 * tp)}
+    return want
+
+
+def _run_traffic(cfg, spec, x, w, thr):
     mem = Memory()
-    execute_layer(CFG, spec, x, w, thr, mem=mem)
-    tp, pixels = 128, spec.h_out * spec.w_out
-    l1_r = 32 * -(-spec.nof // 32) * pixels
-    l1_w = 32 * -(-spec.nif // 32) * spec.h_in * spec.w_in
-    sram_r = sram_w = 0
-    for kin, valid in jobs:
-        steps = pixels * len(valid) * spec.fs ** 2 * kin
-        l1_r += steps * tp
-        l1_w += pixels * sum(8 * -(-v // 8) for v in valid)
-        sram_r += steps * tp * tp + pixels * len(valid) * 8 * tp
-        sram_w += len(valid) * (spec.fs ** 2 * kin * tp * tp + 8 * tp)
-    assert mem.traffic == {
-        "l1": {"read_bits": l1_r, "write_bits": l1_w},
-        "scm": {"read_bits": 0, "write_bits": 0},
-        "sram": {"read_bits": sram_r, "write_bits": sram_w},
-        "hyperram": {"read_bits": 0, "write_bits": 0}}, name
+    execute_layer(cfg, spec, x, w, thr, mem=mem)
+    return mem.traffic
+
+
+def test_execute_layer_traffic_counted():
+    # the hand-pinned job tables hold layer_cost's jobs, and the run's
+    # traffic is _traffic's closed form in every region
+    for name, (spec, jobs) in TRAFFIC_CASES.items():
+        cost = layer_cost(spec, 128)
+        assert [(cost.kin_tiles, _valid_lanes(cost))] * cost.jobs == jobs, name
+        rng = np.random.default_rng(6)
+        x, w = random_layer_data(rng, spec)
+        thr = random_threshold_spec(rng, spec)
+        assert (_run_traffic(CFG, spec, x, w, thr)
+                == _traffic(spec, 128)), name
+
+
+def test_traffic_equals_closed_form_where_layers_fit():
+    # the functional path reads and writes only the regions the
+    # placement names: the first 30 grouped-sweep shapes (88 runs of
+    # every kind) at every tp where they plan and fit, and the MVGG-2
+    # layers at tp 128. All 150 shapes take about 2 s.
+    shapes = np.random.default_rng(20261018)
+    cases = [(_grouped_spec(shapes), VALID_TPS) for _ in range(30)]
+    cases += [(nl.spec, (128,)) for nl in get_network("mvgg-2").layers]
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for spec, tps in cases:
+        x, w = random_layer_data(rng, spec)
+        thr = random_threshold_spec(rng, spec)
+        for tp in tps:
+            try:
+                layer_cost(spec, tp).check_buffers()
+            except (PlanError, CapacityError):
+                continue
+            assert (_run_traffic(EngineConfig(tp=tp), spec, x, w, thr)
+                    == _traffic(spec, tp)), (spec, tp)
+            kinds |= _kinds(spec, tp)
+    assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
+                     "npg>1"}
 
 
 # --- analytic network runs ----------------------------------------------
@@ -517,6 +658,48 @@ def test_check_fit_activation_budget():
         "conv", LayerSpec(nif=512, nof=512, fs=3, h_out=96, w_out=96))])
     with pytest.raises(CapacityError):
         check_fit(big, "hyperram")
+
+
+def _dense(nif, nof, w_out=1):
+    return LayerSpec(nif=nif, nof=nof, fs=1, h_out=1, w_out=w_out)
+
+
+@pytest.mark.parametrize("p", PLACEMENTS.values(), ids=PLACEMENTS)
+def test_check_fit_parameter_boundary(p):
+    # two fs=1 layers whose packed bits fill the parameter region
+    # exactly, 1024 * (nif + 8) + (nif' + 8), fit; one bit more names
+    # the region
+    cap = 8 * p.params.size
+    for extra in (0, 1):
+        net = NetworkDescriptor("edge", [
+            NetLayer("a", _dense(cap // 1024 - 9, 1024)),
+            NetLayer("b", _dense(1016 + extra, 1))])
+        assert net.packed_param_bits == cap + extra
+        if extra:
+            with pytest.raises(CapacityError,
+                               match=f"of {p.params.name} in the "
+                                     f"{p.weights_region} placement"):
+                check_fit(net, p.weights_region)
+        else:
+            check_fit(net, p.weights_region)
+
+
+@pytest.mark.parametrize("p", PLACEMENTS.values(), ids=PLACEMENTS)
+def test_check_fit_activation_boundary(p):
+    # one fs=1 layer of one word per pixel keeps 8 bytes per pixel
+    # live: 58,368 pixels fill the 466,944 bytes of sram + scm exactly;
+    # one pixel more names both regions
+    names = " + ".join(r.name for r in p.activations)
+    assert names == "sram + scm" and p.activation_bytes == 8 * 58368
+    for extra in (0, 1):
+        net = NetworkDescriptor("edge", [
+            NetLayer("a", _dense(32, 32, 58368 + extra))])
+        assert net.activation_peak_bytes() == p.activation_bytes + 8 * extra
+        if extra:
+            with pytest.raises(CapacityError, match=re.escape(f"of {names}")):
+                check_fit(net, p.weights_region)
+        else:
+            check_fit(net, p.weights_region)
 
 
 def test_run_network_bound_flags():
