@@ -24,16 +24,14 @@ import sys
 
 import numpy as np
 
-from .bintensor import bit_mismatches
 from .engine import EngineConfig
 from .errors import CapacityError, PlanError, RegionError, XneError
-from .golden import LayerSpec, layer_golden, random_layer_data
+from .golden import LayerSpec
 from .memory import CoefficientSet, load_coefficients
 from .microcode import (disassemble, parse_program, program_to_yaml,
                         reference_program)
 from .networks import get_network
-from .runner import (execute_layer, layer_cost, random_threshold_spec,
-                     run_network, verify_layers)
+from .runner import run_network, verify_layer, verify_layers
 
 EXIT_PARSE = 3
 EXIT_CAPACITY = 4
@@ -87,14 +85,8 @@ def cmd_ucode_dis(args) -> int:
 def cmd_run_layer(args) -> int:
     spec = LayerSpec(nif=args.nif, nof=args.nof, fs=args.fs,
                      h_out=args.h, w_out=args.w, d=args.d)
-    cfg = EngineConfig(tp=args.tp)
-    rng = np.random.default_rng(_seed(args))
-    layer_cost(spec, cfg.tp).check_buffers()   # a layer too big draws no data
-    x, w = random_layer_data(rng, spec)
-    thr = random_threshold_spec(rng, spec)
-    run = execute_layer(cfg, spec, x, w, thr)
-    want = layer_golden(x, w, spec, thr)
-    mism = bit_mismatches(run.output, want)
+    run, mism = verify_layer(EngineConfig(tp=args.tp), spec,
+                             np.random.default_rng(_seed(args)))
     print(f"layer {spec.nif}->{spec.nof} fs={spec.fs} "
           f"{spec.h_out}x{spec.w_out} groups={spec.groups} tp={args.tp}")
     print(f"jobs {len(run.plan.jobs)}  cycles {run.cycles}  ops {run.ops}  "

@@ -67,7 +67,7 @@ VALID_TPS = (32, 64, 128, 256, 512)
 STREAM_SETUP = 2    # cycles to arm a streamer channel
 PHASE_GAP = 8       # drain/settle cycles between phases
 JOB_OVERHEAD = 16   # offload + register copy per job
-_PROGRAM = reference_program()    # built once; every engine walks it
+_PROGRAM = reference_program()    # built once, frozen; every engine walks it
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bintensor import BinaryTensor, BinaryWeights
+from .bintensor import BinaryTensor, BinaryWeights, _check_dim
 from .bits import unpack_pm1
 from .errors import DegenerateBatchNorm, PlanError, ShapeError
 
@@ -60,9 +60,7 @@ class LayerSpec:
 
     def __post_init__(self):
         for name in ("nif", "nof", "fs", "h_out", "w_out"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ShapeError(f"{name} must be a positive integer, got {v!r}")
+            _check_dim(name, getattr(self, name))
         if self.d is not None:
             if not (1 <= self.d <= self.nif):
                 raise ShapeError(f"band width {self.d} outside [1, {self.nif}]")

@@ -26,7 +26,7 @@ All pointer values are bit offsets into the streamer's address space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -127,15 +127,16 @@ class LoopSpec:
         return (self.count << 4) | self.base
 
 
-@dataclass
+@dataclass(frozen=True)
 class MicrocodeProgram:
-    instructions: list[MicroInstruction]
-    loops: list[LoopSpec] = field(default_factory=list)  # innermost first
+    """Checked once, when built; loops innermost first, both as tuples."""
+
+    instructions: tuple[MicroInstruction, ...]
+    loops: tuple[LoopSpec, ...] = ()
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "loops", tuple(self.loops))
         if len(self.instructions) > MAX_INSTRUCTIONS:
             raise UcodeSyntaxError(
                 f"{len(self.instructions)} instructions, "
@@ -154,7 +155,6 @@ class MicrocodeProgram:
             pos = lp.base + lp.count
 
     def assemble(self) -> bytes:
-        self.validate()
         out = bytearray(BITSTREAM_LEN)
         for i, ins in enumerate(self.instructions):
             out[i] = ins.encode()
@@ -440,7 +440,6 @@ class UcodeState:
     """
 
     def __init__(self, prog: MicrocodeProgram, ro_values: np.ndarray):
-        prog.validate()
         ro = np.asarray(ro_values, dtype=np.uint32)
         if ro.shape != (N_RO,):
             raise UcodeSyntaxError(f"need {N_RO} read-only values, "
@@ -549,7 +548,6 @@ def walk_offsets(prog: MicrocodeProgram, ro_values: np.ndarray) -> np.ndarray:
     fires and contributes only the identity (Q_k^0 = I, P_{k+1} = P_k),
     so it is skipped.
     """
-    prog.validate()
     ro = np.asarray(ro_values, dtype=np.uint32)
     if ro.shape != (N_RO,):
         raise UcodeSyntaxError(f"need {N_RO} read-only values, "

@@ -83,23 +83,20 @@ class NetworkDescriptor:
     name: str
     layers: tuple[NetLayer, ...] = ()
     packed_param_bits: int = field(init=False, repr=False, compare=False)
-    _peak_bytes: int = field(init=False, repr=False, compare=False)
+    activation_peak_bytes: int = field(init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "packed_param_bits",
                            sum(l.packed_param_bits for l in layers))
-        object.__setattr__(self, "_peak_bytes", _activation_peak(layers))
+        object.__setattr__(self, "activation_peak_bytes",
+                           _activation_peak(layers))
 
     @property
     def total_ops(self) -> int:
         return sum(l.spec.ops for l in self.layers)
-
-    def activation_peak_bytes(self) -> int:
-        """Largest set of activation buffers alive at once, as fixed
-        when the descriptor was built."""
-        return self._peak_bytes
 
 
 def make_resnet(depth: int) -> NetworkDescriptor:

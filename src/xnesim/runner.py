@@ -11,7 +11,7 @@ layer_cost maps a layer to engine jobs by one rule:
     Full connectivity is the single-band case, so it never folds.
 
 Its LayerCost is the one record of a layer's closed-form facts; the
-functional path's plan_layer, load_job and execute_layer read it.
+functional path's plan_layer builds each JobPlan to hold it.
 
 The weight stream holds, per (output tile, tap, input tile), TP lanes
 of TP bits each, lane vectors aligned with where the feature vector
@@ -49,13 +49,12 @@ from .networks import NetworkDescriptor
 
 @dataclass
 class JobPlan:
-    """One engine job of a layer: geometry, connectivity, and where it
-    sits inside the layer's shared input/output images."""
+    """One engine job of a layer: geometry, connectivity, its layer's
+    LayerCost, and where it sits inside the layer's shared images."""
 
     geom: JobGeometry
     valid_out: np.ndarray
-    d_eff: int                # band width seen by one lane
-    npg: int                  # lanes sharing a band within a tile
+    cost: LayerCost           # band width spec.d_eff, npg lanes per band
     ch_base: int              # first output channel = y bit offset
     x_bit_offset: int
 
@@ -65,11 +64,11 @@ class JobPlan:
         walked span position ki*tp + b lies in the lane's band, which is
         d_eff wide from (L // npg) * d_eff (npg = tp: full connectivity).
         A word holding band bits [b0, b1) is (1 << b1) - (1 << b0)."""
-        g = self.geom
-        lo = (np.arange(g.tp)[:, None] // self.npg) * self.d_eff  # (lane, 1)
+        g, d = self.geom, self.cost.spec.d_eff
+        lo = (np.arange(g.tp)[:, None] // self.cost.npg) * d  # (lane, 1)
         first = 32 * np.arange(g.kin_tiles * g.tp // 32).reshape(
             g.kin_tiles, 1, g.tp // 32)         # span bit 0 of (ki, word)
-        b0, b1 = (np.clip(e - first, 0, 32) for e in (lo, lo + self.d_eff))
+        b0, b1 = (np.clip(e - first, 0, 32) for e in (lo, lo + d))
         valid = np.arange(g.tp)[:, None] < self.valid_out[:, None, None, None]
         return (((1 << b1) - (1 << b0)) * valid).astype(np.uint32)
 
@@ -203,8 +202,8 @@ def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
                        x_row_stride=32 * wpp_in * spec.w_in,
                        y_pixel_stride=32 * wpp_out,
                        y_row_stride=32 * wpp_out * spec.w_out)
-    return LayerPlan([JobPlan(geom, valid_out, spec.d_eff, cost.npg,
-                              i * cost.n_out, x_bit_offset=i * spec.d_eff)
+    return LayerPlan([JobPlan(geom, valid_out, cost, i * cost.n_out,
+                              x_bit_offset=i * spec.d_eff)
                       for i in range(cost.jobs)], cost)
 
 
@@ -220,11 +219,11 @@ def weight_stream_words(job: JobPlan, spec: LayerSpec,
     words, pad bits cleared, shift in uint64 to its band start in the
     walked span; each word's high half folds into the next span word."""
     g = job.geom
-    tp, d = g.tp, job.d_eff
+    tp, d = g.tp, job.cost.spec.d_eff
     lanes = job.valid_lanes()
     rows = w.words[job.ch_base + lanes].astype(np.uint64)  # (lane, fs, fs, W)
     rows[..., -1] &= 0xFFFFFFFF >> -d % 32
-    start = (lanes % tp // job.npg) * d
+    start = (lanes % tp // job.cost.npg) * d
     shifted = rows << (start % 32).astype(np.uint64)[:, None, None, None]
     # span word k + 1 holds the word shifted to k; word 0 stays zero
     col = (start // 32 + 1)[:, None] + np.arange(rows.shape[-1])
@@ -244,23 +243,22 @@ def threshold_stream_bytes(job: JobPlan, thr: ThresholdSpec) -> np.ndarray:
     return out
 
 
-def load_job(mem: Memory, job: JobPlan, spec: LayerSpec, w: BinaryWeights,
-             thr: ThresholdSpec, w_base: int, x_base: int,
-             y_base: int) -> JobDescriptor:
+def load_job(mem: Memory, job: JobPlan, w: BinaryWeights, thr: ThresholdSpec,
+             w_base: int, x_base: int, y_base: int) -> JobDescriptor:
     """Write the job's weight stream at w_base and its threshold bytes
     right after it, and return the descriptor that offloads the job.
     x_base and y_base are the layer's input and output images; the
     job's bit offsets into them (x_bit_offset, ch_base) are added here.
     CapacityError when the region holding w_base cannot hold stream and
-    thresholds; both sizes are closed-form (layer_cost), so a job that
-    cannot fit builds nothing."""
-    cost = layer_cost(spec, job.geom.tp)
+    thresholds; both sizes are the job's closed form (job.cost), so a
+    job that cannot fit builds nothing."""
+    cost = job.cost
     region = mem.region_of(w_base, 0)
     if not region.contains(w_base, cost.job_bytes):
         raise CapacityError(f"weight stream and thresholds exceed "
                             f"the {region.name} region")
     thr_base = w_base + cost.weight_bytes
-    mem.write_words(w_base, weight_stream_words(job, spec, w))
+    mem.write_words(w_base, weight_stream_words(job, cost.spec, w))
     mem.write(thr_base, threshold_stream_bytes(job, thr))
     return JobDescriptor(
         geom=job.geom, w_base=w_base,
@@ -306,7 +304,7 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
     runs = []
     for i, job in enumerate(plan.jobs):
         w_base = FUNCTIONAL.streams.base + i * cost.job_bytes  # word aligned
-        desc = load_job(mem, job, spec, w, thr, w_base, x_base, y_base)
+        desc = load_job(mem, job, w, thr, w_base, x_base, y_base)
         runs.append(eng.run_next(desc))
 
     y_bytes = image_bytes(spec.nof, spec.h_out, spec.w_out)
@@ -418,7 +416,7 @@ def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
             f"{net.name}: {bits / 8 / KIB:.1f} KiB of parameters exceed "
             f"the {p.params.size / KIB:.0f} KiB of {p.params.name} in the "
             f"{mode_region} placement")
-    act = net.activation_peak_bytes()
+    act = net.activation_peak_bytes
     if act > p.activation_bytes:
         names = " + ".join(r.name for r in p.activations)
         raise CapacityError(
@@ -457,6 +455,17 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     return rep
 
 
+def verify_layer(cfg: EngineConfig, spec: LayerSpec,
+                 rng: np.random.Generator) -> tuple[LayerRun, int]:
+    """One layer on data drawn from rng, after its fit is checked in
+    closed form: (run, output bits that differ from layer_golden)."""
+    layer_cost(spec, cfg.tp).check_buffers()
+    x, w = random_layer_data(rng, spec)
+    thr = random_threshold_spec(rng, spec)
+    run = execute_layer(cfg, spec, x, w, thr)
+    return run, bit_mismatches(run.output, layer_golden(x, w, spec, thr))
+
+
 def verify_layers(n_layers: int, seed: int, tp: int = 128,
                   max_spatial: int = 8) -> list[dict]:
     """Random engine-vs-reference sweeps; returns a record per layer
@@ -471,15 +480,11 @@ def verify_layers(n_layers: int, seed: int, tp: int = 128,
     records = []
     for i in range(n_layers):
         spec = random_layer_spec(rng, max_spatial=max_spatial)
-        x, w = random_layer_data(rng, spec)
-        thr = random_threshold_spec(rng, spec)
         try:
-            run = execute_layer(cfg, spec, x, w, thr)
+            run, mism = verify_layer(cfg, spec, rng)
         except XneError as ex:
             raise type(ex)(f"layer {i}: {spec}, --seed {seed} --tp {tp}: "
                            f"{ex}") from ex
-        want = layer_golden(x, w, spec, thr)
-        mism = bit_mismatches(run.output, want)
         records.append({"layer": i, "spec": spec, "mismatches": mism,
                         "ops": run.ops})
     return records

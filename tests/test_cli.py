@@ -34,6 +34,8 @@ def test_documented_command_parses(line):
 def test_documented_commands_found():
     # an empty list above would pass vacuously
     assert len(README_CMDS) >= 8 and len(DOC_CMDS) >= 6
+    # the scripts/ directory is gone; README must not point into it
+    assert "python3 scripts/" not in README.read_text()
 
 
 def test_ucode_ref_and_asm_roundtrip(tmp_path, capsys):
@@ -107,7 +109,7 @@ def test_run_layer_stream_too_big_draws_nothing(capsys, monkeypatch):
     def no_draw(*_):
         raise AssertionError("drew layer data")
 
-    monkeypatch.setattr(cli, "random_layer_data", no_draw)
+    monkeypatch.setattr(runner, "random_layer_data", no_draw)
     assert main(["run", "layer", "--nif", "4096", "--nof", "4096",
                  "--fs", "1", "--h", "1", "--w", "1"]) == 4
     err = capsys.readouterr().err

@@ -185,7 +185,7 @@ def test_masks_with_holes_match_per_lane_oracle(tp):
     l1 = mem.base("l1")
     mem.write_words(l1, x.flat_words())
     [plan] = plan_layer(spec, tp).jobs
-    job = load_job(mem, plan, spec, w, random_threshold_spec(rng, spec),
+    job = load_job(mem, plan, w, random_threshold_spec(rng, spec),
                    mem.base("sram"), l1, l1 + layer_cost(spec, tp).y_offset)
     masks = job.masks.copy()
     masks[0, 0] = 0                   # live bits 0 and tp-1 only, in
@@ -298,7 +298,7 @@ def _tiny_job(mem, spec=LayerSpec(nif=32, nof=8, fs=1, h_out=1, w_out=1)):
     x, w = random_layer_data(rng, spec)
     thr = random_threshold_spec(rng, spec)
     mem.write_words(mem.base("l1"), x.flat_words())
-    return load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+    return load_job(mem, plan_layer(spec, 128).jobs[0], w, thr,
                     mem.base("sram"), mem.base("l1"), mem.base("l1") + 0x1000)
 
 
@@ -345,7 +345,7 @@ def test_feature_walk_past_l1_raises():
     l1_end = mem.base("l1") + mem.regions["l1"].size
     x_base = l1_end - 4 * len(x.flat_words())
     mem.write_words(x_base, x.flat_words())
-    desc = load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+    desc = load_job(mem, plan_layer(spec, 128).jobs[0], w, thr,
                     mem.base("sram"), x_base, mem.base("l1"))
     with pytest.raises(RegionError, match=f"{l1_end - 12:#x}, \\+16"):
         run_single_job(EngineConfig(tp=128), mem, desc)
@@ -388,7 +388,7 @@ def test_sink_writes_only_valid_bytes():
     mem.write_words(mem.base("l1"), x.flat_words())
     y_base = mem.base("l1") + 0x1000
     mem.write(y_base, np.full(16, 0xAA, dtype=np.uint8))
-    desc = load_job(mem, plan_layer(spec, 128).jobs[0], spec, w, thr,
+    desc = load_job(mem, plan_layer(spec, 128).jobs[0], w, thr,
                     mem.base("sram"), mem.base("l1"), y_base)
     run_single_job(EngineConfig(tp=128), mem, desc)
     got = mem.read(y_base, 16).reshape(4, 4)
@@ -425,7 +425,7 @@ def test_saturation_clamps_at_16_bits():
     for sat in (True, False):
         mem = Memory()
         mem.write_words(mem.base("l1"), xt.flat_words())
-        desc = load_job(mem, plan_layer(spec, 128).jobs[0], spec, wt, thr,
+        desc = load_job(mem, plan_layer(spec, 128).jobs[0], wt, thr,
                         mem.base("hyperram"),  # too big for sram
                         mem.base("l1"), mem.base("l1") + 0x8000)
         run_single_job(EngineConfig(tp=128, saturate=sat), mem, desc)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for d in ("src/xnesim", "tests", "scripts")
+MODULES = sorted(p for d in ("src/xnesim", "tests", "perfbench")
                  for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
 # import names of the distributions whose names differ from them
 IMPORT_NAMES = {"pyyaml": "yaml"}

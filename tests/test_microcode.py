@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xnesim import microcode as mc
+from xnesim import engine, microcode as mc
 from xnesim.errors import UcodeSyntaxError
 from xnesim.microcode import (BITSTREAM_LEN, JobGeometry, LoopSpec,
                               MicroInstruction, MicrocodeProgram, Op,
@@ -72,6 +74,23 @@ def test_program_window_validation():
         MicrocodeProgram(ins, [LoopSpec(4, 4, 4)])  # past the end
     with pytest.raises(UcodeSyntaxError):
         MicrocodeProgram([MicroInstruction(Op.MV, 0, 10)] * 23, [])
+
+
+@pytest.mark.parametrize("prog", [reference_program(), engine._PROGRAM],
+                         ids=["reference_program", "engine._PROGRAM"])
+@pytest.mark.parametrize("name", ["instructions", "loops"])
+def test_program_is_frozen(prog, name):
+    # checked once when built, so nothing may change it afterwards
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(prog, name, ())
+
+
+def test_program_from_lists_equals_from_tuples():
+    ref = reference_program()
+    prog = MicrocodeProgram(list(ref.instructions), list(ref.loops))
+    assert prog == MicrocodeProgram(tuple(ref.instructions), tuple(ref.loops))
+    assert isinstance(prog.instructions, tuple)
+    assert isinstance(prog.loops, tuple)
 
 
 def test_reference_program_is_28_bytes():

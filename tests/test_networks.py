@@ -46,7 +46,7 @@ def test_resnet_packed_parameter_bits():
 
 def test_resnet18_activation_peak():
     # peak is conv1's output alongside the pooled, halo-padded stage input
-    peak = make_resnet(18).activation_peak_bytes()
+    peak = make_resnet(18).activation_peak_bytes
     assert peak == 127264
     assert peak <= 128 * 1024
 
@@ -108,7 +108,7 @@ def test_layer_buffer_accounting():
     # stage input buffered with the conv halo
     assert conv2.input_buffer_bytes() == 58 * 58 * 64 // 8
     # the peak is exactly those two alive together
-    assert net.activation_peak_bytes() == (conv1.output_buffer_bytes()
+    assert net.activation_peak_bytes == (conv1.output_buffer_bytes()
                                            + conv2.input_buffer_bytes())
 
 
@@ -140,7 +140,7 @@ def test_footprint_fixed_at_construction(name):
     else:
         net = get_network(name)
     assert isinstance(net.layers, tuple)
-    assert (net.packed_param_bits, net.activation_peak_bytes()) == \
+    assert (net.packed_param_bits, net.activation_peak_bytes) == \
         _recomputed_footprint(net.layers)
     for field, value in (("name", "other"), ("layers", ()),
                          ("packed_param_bits", 0)):

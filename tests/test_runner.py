@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xnesim import runner
 from xnesim.bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
                               image_bytes)
 from xnesim.engine import (JOB_OVERHEAD, PHASE_GAP, STREAM_SETUP, VALID_TPS,
@@ -17,8 +18,8 @@ from xnesim.networks import NetLayer, NetworkDescriptor, get_network
 from xnesim.golden import layer_golden
 from xnesim.runner import (check_fit, execute_layer, layer_cost, load_job,
                            plan_layer, random_threshold_spec, run_network,
-                           threshold_stream_bytes, verify_layers,
-                           weight_stream_words)
+                           threshold_stream_bytes, verify_layer,
+                           verify_layers, weight_stream_words)
 
 CFG = EngineConfig(tp=128)
 
@@ -52,7 +53,7 @@ PLAN_CASES = {
                          ids=PLAN_CASES)
 def test_plan_layer_jobs(spec, strides, want):
     jobs = plan_layer(spec, 128).jobs
-    assert [(j.geom.kin_tiles, j.geom.kout_tiles, j.geom.band_step, j.npg,
+    assert [(j.geom.kin_tiles, j.geom.kout_tiles, j.geom.band_step, j.cost.npg,
              j.ch_base, j.x_bit_offset, j.valid_out.tolist())
             for j in jobs] == want
     for j in jobs:
@@ -298,13 +299,13 @@ def test_masks_against_bit_oracle(spec):
                              axis=-1).reshape(g.kout_tiles, g.kin_tiles,
                                               g.tp, g.tp)
         lane = np.arange(g.tp)[:, None]
-        band_lo = (lane // job.npg) * job.d_eff
+        band_lo = (lane // job.cost.npg) * spec.d_eff
         col = np.arange(g.tp)[None, :]
         for ko in range(g.kout_tiles):
             for ki in range(g.kin_tiles):
                 pos = ki * g.tp + col
                 want = ((lane < int(job.valid_out[ko]))
-                        & (band_lo <= pos) & (pos < band_lo + job.d_eff))
+                        & (band_lo <= pos) & (pos < band_lo + spec.d_eff))
                 assert np.array_equal(bits[ko, ki], want), (g.tp, ko, ki)
 
 
@@ -339,14 +340,14 @@ def test_weight_stream_against_bit_oracle(spec):
                              bitorder="little").reshape(
             g.kout_tiles, g.fs, g.fs, g.kin_tiles, g.tp, g.tp)
         lane = np.arange(g.tp)[:, None]
-        band_lo = (lane // job.npg) * job.d_eff
+        band_lo = (lane // job.cost.npg) * spec.d_eff
         col = np.arange(g.tp)[None, :]
         for ko in range(g.kout_tiles):
             ch = np.minimum(job.ch_base + ko * g.tp + lane, spec.nof - 1)
             for ki in range(g.kin_tiles):
                 pos = ki * g.tp + col - band_lo
                 ok = ((lane < int(job.valid_out[ko]))
-                      & (pos >= 0) & (pos < job.d_eff))
+                      & (pos >= 0) & (pos < spec.d_eff))
                 posc = np.clip(pos, 0, spec.d_eff - 1)
                 for ui in range(g.fs):
                     for uj in range(g.fs):
@@ -396,6 +397,17 @@ def test_threshold_stream_padding():
 def test_execute_layer_matches_golden_randomized():
     recs = verify_layers(40, seed=11)
     assert sum(r["mismatches"] for r in recs) == 0
+
+
+def test_verify_layer_checks_fit_before_drawing(monkeypatch):
+    # 4096 x 4096 weights fit l1's activations but not the sram stream
+    def no_draw(*_):
+        raise AssertionError("drew layer data")
+
+    monkeypatch.setattr(runner, "random_layer_data", no_draw)
+    spec = LayerSpec(nif=4096, nof=4096, fs=1, h_out=1, w_out=1)
+    with pytest.raises(CapacityError, match="sram"):
+        verify_layer(CFG, spec, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("k", [1, 7, 45 * 6])
@@ -476,7 +488,7 @@ def test_load_job_capacity():
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="sram"):
-                load_job(mem, job, spec, w, thr, w_base, mem.base("l1"),
+                load_job(mem, job, w, thr, w_base, mem.base("l1"),
                          mem.base("l1"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -494,9 +506,9 @@ def test_load_job_stream_ending_at_region_end():
     job = plan_layer(spec, 128).jobs[0]
     streams = FUNCTIONAL.streams
     end = streams.base + streams.size - layer_cost(spec, 128).job_bytes
-    load_job(Memory(), job, spec, w, thr, end, 0, 0)
+    load_job(Memory(), job, w, thr, end, 0, 0)
     with pytest.raises(CapacityError, match=f"the {streams.name} region"):
-        load_job(Memory(), job, spec, w, thr, end + 4, 0, 0)
+        load_job(Memory(), job, w, thr, end + 4, 0, 0)
 
 
 def test_check_buffers_images_boundary():
@@ -694,7 +706,7 @@ def test_check_fit_activation_boundary(p):
     for extra in (0, 1):
         net = NetworkDescriptor("edge", [
             NetLayer("a", _dense(32, 32, 58368 + extra))])
-        assert net.activation_peak_bytes() == p.activation_bytes + 8 * extra
+        assert net.activation_peak_bytes == p.activation_bytes + 8 * extra
         if extra:
             with pytest.raises(CapacityError, match=re.escape(f"of {names}")):
                 check_fit(net, p.weights_region)
