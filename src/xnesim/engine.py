@@ -127,9 +127,10 @@ class JobDescriptor:
             raise ShapeError(f"shift outside [0, {SHIFT_MAX}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseSchedule:
-    """Closed-form cycle budget of one job."""
+    """Closed-form cycle budget of one job. Frozen: run_network shares
+    one per (layer, tp) through its memo of layer_cost."""
 
     feature_load: int
     accumulate: int

@@ -14,6 +14,7 @@ fetching them over the HyperRAM link.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -287,11 +288,22 @@ FUNCTIONAL = PLACEMENTS["sram"]
 
 
 def _check_range(what: str, value: float, positive: bool) -> None:
-    """DecodeError naming *what* unless value > 0 (positive) or >= 0."""
+    """DecodeError naming *what* unless value is finite and > 0
+    (positive) or >= 0."""
+    if not math.isfinite(value):
+        raise DecodeError(f"{what} must be finite, got {value}")
     if not (value > 0 if positive else value >= 0):
         raise DecodeError(f"{what} must be "
                           f"{'positive' if positive else 'non-negative'}, "
                           f"got {value}")
+
+
+def _check_rate(what: str, value: float, rate: float, unit: str) -> None:
+    """DecodeError naming *what* unless rate, the clock or transfer rate
+    that value sets, is finite: a finite value may still overflow."""
+    if not math.isfinite(rate):
+        raise DecodeError(f"{what} {value:g} overflows: {unit} is not "
+                          f"finite")
 
 
 @dataclass(frozen=True)
@@ -301,8 +313,9 @@ class ModeEnergy:
     Per-op energy splits into the engine datapath and the local memory
     traffic bundled with each op; parameters additionally pay per-bit
     costs depending on where they live (see CoefficientSet). A
-    non-positive clock, a negative energy or a weights_region with no
-    Placement raises DecodeError.
+    non-finite value, a non-positive clock or one that overflows in Hz,
+    a negative energy or a weights_region with no Placement raises
+    DecodeError.
     """
 
     name: str
@@ -315,6 +328,8 @@ class ModeEnergy:
         for k in ("engine_fj_per_op", "local_fj_per_op", "freq_mhz"):
             _check_range(f"mode {self.name!r} {k}", getattr(self, k),
                          positive=k == "freq_mhz")
+        _check_rate(f"mode {self.name!r} freq_mhz", self.freq_mhz,
+                    self.freq_mhz * 1e6, "the clock in Hz")
         if not (isinstance(self.weights_region, str)
                 and self.weights_region in PLACEMENTS):
             raise DecodeError(
@@ -388,8 +403,9 @@ def _number(value, what: str) -> float:
 def load_coefficients(path: str) -> CoefficientSet:
     """Override coefficients from a YAML file (partial updates allowed;
     a new mode gives every field). Malformed YAML, a document that is
-    not a mapping, an unknown or missing key, or a value that is not a
-    number or out of range raises DecodeError."""
+    not a mapping, an unknown or missing key, a value that is not a
+    number or out of range, or a marshalling rate in bits/s that
+    overflows raises DecodeError."""
     with open(path) as f:
         try:
             doc = yaml.safe_load(f) or {}
@@ -414,6 +430,12 @@ def load_coefficients(path: str) -> CoefficientSet:
               for k, v in given.items()}
         cs.modes[name] = (replace(cs.modes[name], **kw) if name in cs.modes
                           else ModeEnergy(name, **kw))
+    for m in cs.modes.values():
+        if PLACEMENTS[m.weights_region].marshal:
+            _check_rate(f"{path}: marshal_bits_per_cycle",
+                        cs.marshal_bits_per_cycle,
+                        cs.marshal_bits_per_cycle * (m.freq_mhz * 1e6),
+                        f"the marshalling rate in bits/s of mode {m.name!r}")
     return cs
 
 

@@ -19,14 +19,15 @@ carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
 Network runs are analytic: each layer's cycles and ops come from
-layer_cost, and no job is planned. Energy comes from the operating
-point, and transfer time overlaps compute (parameters stream through a
-ring buffer at block granularity, so staging capacity never serializes
-a layer).
+layer_cost, memoised by (spec, tp), and no job is planned. Energy comes
+from the operating point, and transfer time overlaps compute
+(parameters stream through a ring buffer at block granularity, so
+staging capacity never serializes a layer).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,12 +97,13 @@ class LayerPlan:
         return sum(s.total for s in self.schedules(cfg))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerCost:
     """A layer's closed-form facts at one tp. Its jobs share one
     geometry: n_out outputs in kout_tiles tiles, kin_tiles input tiles,
     npg lanes per band within a tile (tp when dense), the band_step
-    walk. The properties derive from these fields."""
+    walk. The properties derive from these fields. Frozen, so that
+    run_network can share one record per (spec, tp)."""
 
     spec: LayerSpec
     tp: int
@@ -186,6 +188,12 @@ def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
                          kout_tiles, n_out)
     return LayerCost(spec, tp, jobs, n_out, npg, band_step, kin_tiles,
                      kout_tiles, job.times(jobs), spec.ops)
+
+
+# run_network's memo: a report asks for the same (spec, tp) across modes
+# and repeated layers, and the frozen LayerCost is shared. Only network
+# layers enter it; a PlanError is not cached, so it is raised each time.
+network_layer_cost = functools.cache(layer_cost)
 
 
 def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
@@ -441,7 +449,7 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
         bits_per_s = math.inf   # resident parameters: no transfer
     rep = NetworkReport(net.name, mode, tp)
     for nl in net.layers:
-        cost = layer_cost(nl.spec, tp)
+        cost = network_layer_cost(nl.spec, tp)
         cycles = cost.cycles
         compute_s = cycles / f_hz
         bits = nl.packed_param_bits

@@ -256,3 +256,38 @@ def test_config_null_value_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "leakage_mw" in err
+
+
+# a non-finite coefficient, or one whose clock or rate in Hz or bits/s
+# overflows, names its key; (yaml, key, mode the key reaches)
+NON_FINITE = {
+    "freq-inf": ("modes: {sram-0v6: {freq_mhz: .inf}}", "freq_mhz",
+                 "sram-0v6"),
+    "freq-neg-inf": ("modes: {sram-0v6: {freq_mhz: -.inf}}", "freq_mhz",
+                     "sram-0v6"),
+    "freq-nan": ("modes: {sram-0v6: {freq_mhz: .nan}}", "freq_mhz",
+                 "sram-0v6"),
+    "freq-hz-overflows": ("modes: {sram-0v6: {freq_mhz: 1e308}}",
+                          "freq_mhz", "sram-0v6"),
+    "hyperram-rate-inf": ("hyperram_bits_per_s: .inf", "hyperram_bits_per_s",
+                          "hyperram"),
+    "marshal-rate-inf": ("marshal_bits_per_cycle: .inf",
+                         "marshal_bits_per_cycle", "marshal-0v6"),
+    "marshal-bits-per-s-overflows": ("marshal_bits_per_cycle: 1e300",
+                                     "marshal_bits_per_cycle",
+                                     "marshal-0v6"),
+}
+
+
+@pytest.mark.parametrize("text, key, mode", NON_FINITE.values(),
+                         ids=NON_FINITE)
+def test_non_finite_coefficient_is_an_error(text, key, mode, tmp_path,
+                                            capsys):
+    cfgf = tmp_path / "c.yaml"
+    cfgf.write_text(text + "\n")
+    for argv in (["report", "mvgg-2", "--modes", mode],
+                 ["run", "net", "mvgg-2", "--mode", mode]):
+        assert main(argv + ["--config", str(cfgf)]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and key in err, err

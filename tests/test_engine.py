@@ -306,8 +306,7 @@ def test_walk_schedule_disagreement_raises(monkeypatch):
     # the walk-vs-schedule check must hold under python -O too
     def off_by_one(fs, pixels, kin_tiles, kout_tiles, valid_lanes):
         s = phase_schedule(fs, pixels, kin_tiles, kout_tiles, valid_lanes)
-        s.accumulate += 1
-        return s
+        return dataclasses.replace(s, accumulate=s.accumulate + 1)
     mem = Memory()
     job = _tiny_job(mem)
     monkeypatch.setattr(engine, "phase_schedule", off_by_one)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -618,9 +619,10 @@ def test_execute_layer_traffic_counted():
 
 def test_traffic_equals_closed_form_where_layers_fit():
     # the functional path reads and writes only the regions the
-    # placement names: the first 30 grouped-sweep shapes (88 runs of
-    # every kind) at every tp where they plan and fit, and the MVGG-2
-    # layers at tp 128. All 150 shapes take about 2 s.
+    # placement names, and writes golden's output bits: the first 30
+    # grouped-sweep shapes (88 runs of every kind) at every tp where
+    # they plan and fit, and the MVGG-2 layers at tp 128. All 150
+    # shapes take about 2 s.
     shapes = np.random.default_rng(20261018)
     cases = [(_grouped_spec(shapes), VALID_TPS) for _ in range(30)]
     cases += [(nl.spec, (128,)) for nl in get_network("mvgg-2").layers]
@@ -629,13 +631,16 @@ def test_traffic_equals_closed_form_where_layers_fit():
     for spec, tps in cases:
         x, w = random_layer_data(rng, spec)
         thr = random_threshold_spec(rng, spec)
+        want = layer_golden(x, w, spec, thr)
         for tp in tps:
             try:
                 layer_cost(spec, tp).check_buffers()
             except (PlanError, CapacityError):
                 continue
-            assert (_run_traffic(EngineConfig(tp=tp), spec, x, w, thr)
-                    == _traffic(spec, tp)), (spec, tp)
+            mem = Memory()
+            run = execute_layer(EngineConfig(tp=tp), spec, x, w, thr, mem=mem)
+            assert mem.traffic == _traffic(spec, tp), (spec, tp)
+            assert bit_mismatches(run.output, want) == 0, (spec, tp)
             kinds |= _kinds(spec, tp)
     assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
                      "npg>1"}
@@ -762,7 +767,14 @@ def test_leakage_term():
     cs = CoefficientSet(leakage_mw=2.0)
     rep = run_network(get_network("mvgg-f"), "scm-0v4", coeffs=cs)
     assert rep.energy.leakage_j == pytest.approx(rep.total_seconds * 2e-3)
-
+    # leakage runs over each row's time, max(compute_s, transfer_s):
+    # ResNet-34 in hyperram mode has memory-bound rows, where that time
+    # is the transfer time, not the compute time
+    rep = run_network(get_network("resnet34"), "hyperram", coeffs=cs)
+    assert len(rep.rows) == 34
+    assert sum(r.bound == "memory" for r in rep.rows) == 7
+    for r in rep.rows:
+        assert r.energy.leakage_j == r.seconds * 2e-3, r.name
 
 
 def _outcome(net, mode, tp):
@@ -811,3 +823,47 @@ def test_run_network_keeps_no_state_between_calls():
     kinds = {o[0] if isinstance(o[0], type) else "fit"
              for o in passes[0].values()}
     assert kinds == {"fit", CapacityError, PlanError}
+
+
+def test_run_network_memo_holds_each_planning_pair_once(monkeypatch):
+    # a cold and a warm pass over the grid give the reports of
+    # layer_cost itself; the memo then holds each network (spec, tp)
+    # that plans once, and a verify sweep adds none
+    nets = [get_network(n) for n in NETWORKS]
+    grid = [(net, mode, tp) for net in nets
+            for mode in sorted(CoefficientSet().modes) for tp in VALID_TPS]
+    memo = runner.network_layer_cost
+    memo.cache_clear()
+    cold = [_outcome(*c) for c in grid]
+    warm = [_outcome(*c) for c in grid]
+    with monkeypatch.context() as m:
+        m.setattr(runner, "network_layer_cost", layer_cost)
+        direct = [_outcome(*c) for c in grid]
+    assert cold == warm == direct
+    kinds = [o[0] if isinstance(o[0], type) else "fit" for o in cold]
+    assert [kinds.count(k) for k in ("fit", CapacityError, PlanError)] \
+        == [77, 90, 8]
+    pairs = set()
+    for net in nets:
+        for tp in VALID_TPS:
+            for nl in net.layers:
+                try:
+                    layer_cost(nl.spec, tp)
+                except PlanError:
+                    break    # run_network stops at the first PlanError
+                pairs.add((nl.spec, tp))
+    assert memo.cache_info().currsize == len(pairs) == 172
+    misses = memo.cache_info().misses
+    for spec, tp in pairs:
+        memo(spec, tp)
+    verify_layers(5, seed=1)
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (misses, 172)
+
+
+def test_shared_cost_records_are_frozen():
+    cost = runner.network_layer_cost(
+        get_network("mvgg-2").layers[0].spec, 128)
+    for record, name in ((cost, "jobs"), (cost.schedule, "accumulate")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
