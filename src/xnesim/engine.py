@@ -129,8 +129,8 @@ class JobDescriptor:
 
 @dataclass(frozen=True)
 class PhaseSchedule:
-    """Closed-form cycle budget of one job. Frozen: run_network shares
-    one per (layer, tp) through its memo of layer_cost."""
+    """Closed-form cycle budget of one job. Frozen: its LayerCost,
+    memoised by network_layer_cost, shares it across networks."""
 
     feature_load: int
     accumulate: int

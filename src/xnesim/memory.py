@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import yaml
 
 from .errors import DecodeError, ModeError, RegionError, ShapeError
 
@@ -406,6 +405,8 @@ def load_coefficients(path: str) -> CoefficientSet:
     not a mapping, an unknown or missing key, a value that is not a
     number or out of range, or a marshalling rate in bits/s that
     overflows raises DecodeError."""
+    import yaml   # imported where YAML is read, not at load
+
     with open(path) as f:
         try:
             doc = yaml.safe_load(f) or {}
@@ -471,11 +472,11 @@ def account_energy(ops: int, marshal_bits: int, hyperram_bits: int,
                    seconds: float, m: ModeEnergy,
                    cs: CoefficientSet) -> EnergyBreakdown:
     """Energy of ops at operating point m, plus the per-bit parameter
-    costs and leakage of cs."""
-    return EnergyBreakdown(
-        compute_j=ops * m.total_fj_per_op * 1e-15,
-        engine_j=ops * m.engine_fj_per_op * 1e-15,
-        local_j=ops * m.local_fj_per_op * 1e-15,
-        marshal_j=marshal_bits * cs.marshal_pj_per_bit * 1e-12,
-        dma_j=hyperram_bits * cs.hyperram_pj_per_bit * 1e-12,
-        leakage_j=seconds * cs.leakage_mw * 1e-3)
+    costs and leakage of cs. Built positionally, in field order: it
+    runs once per row of run_network, where keywords cost time."""
+    return EnergyBreakdown(ops * m.total_fj_per_op * 1e-15,      # compute
+                           ops * m.engine_fj_per_op * 1e-15,
+                           ops * m.local_fj_per_op * 1e-15,
+                           marshal_bits * cs.marshal_pj_per_bit * 1e-12,
+                           hyperram_bits * cs.hyperram_pj_per_bit * 1e-12,
+                           seconds * cs.leakage_mw * 1e-3)        # leakage

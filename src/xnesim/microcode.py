@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-import yaml
 
 from .errors import UcodeSyntaxError
 
@@ -222,6 +221,8 @@ def parse_program(text: str) -> MicrocodeProgram:
     run of the code list). A field of the wrong kind or a missing one
     raises UcodeSyntaxError naming it.
     """
+    import yaml   # imported where YAML is read or written, not at load
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
@@ -286,6 +287,8 @@ def parse_program(text: str) -> MicrocodeProgram:
 
 
 def program_to_yaml(prog: MicrocodeProgram) -> str:
+    import yaml   # imported where YAML is read or written, not at load
+
     code = []
     for i, ins in enumerate(prog.instructions):
         code.append({

@@ -20,8 +20,8 @@ channel tap plus one 8-bit threshold per channel.
 
 Descriptors are immutable. A NetworkDescriptor holds its layers as a
 tuple and fixes its footprint (packed parameter bits and activation
-peak) when it is built, so the runner's fit check compares stored
-values and reads no layer.
+peak) and its hash when it is built, so the runner's fit check
+compares stored values and its per-network memo reads no layer.
 """
 
 from __future__ import annotations
@@ -77,14 +77,18 @@ def _activation_peak(layers: tuple[NetLayer, ...]) -> int:
 
 @dataclass(frozen=True)
 class NetworkDescriptor:
-    """A network's layers in order, and its footprint, fixed when the
-    descriptor is built. A list of layers is stored as a tuple."""
+    """A network's layers in order, and its footprint and hash, fixed
+    when the descriptor is built. A list of layers is stored as a
+    tuple. The hash is the one a frozen dataclass would compute from
+    (name, layers), stored so that a memo keyed by the descriptor does
+    not hash every layer on each lookup."""
 
     name: str
     layers: tuple[NetLayer, ...] = ()
     packed_param_bits: int = field(init=False, repr=False, compare=False)
     activation_peak_bytes: int = field(init=False, repr=False,
                                        compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -93,6 +97,10 @@ class NetworkDescriptor:
                            sum(l.packed_param_bits for l in layers))
         object.__setattr__(self, "activation_peak_bytes",
                            _activation_peak(layers))
+        object.__setattr__(self, "_hash", hash((self.name, layers)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_ops(self) -> int:

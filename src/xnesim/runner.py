@@ -18,11 +18,13 @@ of TP bits each, lane vectors aligned with where the feature vector
 carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
-Network runs are analytic: each layer's cycles and ops come from
-layer_cost, memoised by (spec, tp), and no job is planned. Energy comes
-from the operating point, and transfer time overlaps compute
-(parameters stream through a ring buffer at block granularity, so
-staging capacity never serializes a layer).
+Network runs are analytic and plan no job. A layer's cycles and ops
+come from layer_cost, memoised by (spec, tp) across networks, and a
+network's per-layer (name, ops, packed bits, cycles) is memoised by
+(network, tp) across modes, so a run only prices that profile at its
+mode. Energy comes from the operating point, and transfer time
+overlaps compute (parameters stream through a ring buffer at block
+granularity, so staging capacity never serializes a layer).
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
 from .bits import words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
-from .errors import CapacityError, PlanError, ShapeError, XneError
+from .errors import (CapacityError, DecodeError, PlanError, ShapeError,
+                     XneError)
 from .golden import (LayerSpec, ThresholdSpec, check_layer_inputs,
                      derive_thresholds, layer_golden, random_batchnorm,
                      random_layer_data)
@@ -103,7 +106,8 @@ class LayerCost:
     geometry: n_out outputs in kout_tiles tiles, kin_tiles input tiles,
     npg lanes per band within a tile (tp when dense), the band_step
     walk. The properties derive from these fields. Frozen, so that
-    run_network can share one record per (spec, tp)."""
+    network_layer_cost can share one record per (spec, tp) across
+    networks."""
 
     spec: LayerSpec
     tp: int
@@ -190,10 +194,22 @@ def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
                      kout_tiles, job.times(jobs), spec.ops)
 
 
-# run_network's memo: a report asks for the same (spec, tp) across modes
-# and repeated layers, and the frozen LayerCost is shared. Only network
+# network_profile's memo: networks share layers, and a network repeats
+# them, so a frozen LayerCost is shared per (spec, tp). Only network
 # layers enter it; a PlanError is not cached, so it is raised each time.
 network_layer_cost = functools.cache(layer_cost)
+
+
+@functools.cache
+def network_profile(net: NetworkDescriptor,
+                    tp: int) -> tuple[tuple[str, int, int, int], ...]:
+    """Per layer of net at tp, (name, ops, packed_param_bits, cycles):
+    all that run_network reads of a layer, the same in every mode. One
+    profile per (network, tp), shared across modes; the descriptor's
+    stored hash keeps the lookup cheap. A PlanError is not cached."""
+    costs = (network_layer_cost(nl.spec, tp) for nl in net.layers)
+    return tuple((nl.name, c.ops, nl.packed_param_bits, c.cycles)
+                 for nl, c in zip(net.layers, costs))
 
 
 def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
@@ -434,7 +450,10 @@ def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
 
 def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
                 coeffs: CoefficientSet | None = None) -> NetworkReport:
-    """Analytic pass: cycle budgets, transfer overlap, energy."""
+    """Analytic pass: cycle budgets, transfer overlap, energy. Each row
+    prices network_profile(net, tp) at the mode. DecodeError, naming
+    the mode, the layer and the coefficient, when a layer's time is
+    not finite: a positive clock or rate may still be too small."""
     cs = coeffs or CoefficientSet()
     m = cs.mode(mode)
     EngineConfig(tp=tp)   # rejects a bad tp before check_fit
@@ -448,18 +467,21 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     else:
         bits_per_s = math.inf   # resident parameters: no transfer
     rep = NetworkReport(net.name, mode, tp)
-    for nl in net.layers:
-        cost = network_layer_cost(nl.spec, tp)
-        cycles = cost.cycles
+    for name, ops, bits, cycles in network_profile(net, tp):
         compute_s = cycles / f_hz
-        bits = nl.packed_param_bits
         transfer_s = bits / bits_per_s
         bound = "memory" if transfer_s > compute_s else "compute"
         sec = max(compute_s, transfer_s)
-        energy = account_energy(cost.ops, bits if p.marshal else 0,
+        if not math.isfinite(sec):
+            key = ("freq_mhz" if not math.isfinite(compute_s)
+                   else "hyperram_bits_per_s" if p.link
+                   else "marshal_bits_per_cycle")
+            raise DecodeError(f"mode {mode!r} layer {name!r}: time is not "
+                              f"finite; {key} is too small")
+        energy = account_energy(ops, bits if p.marshal else 0,
                                 bits if p.link else 0, sec, m, cs)
-        rep.rows.append(LayerRow(nl.name, cost.ops, bits, cycles,
-                                 compute_s, transfer_s, bound, energy))
+        rep.rows.append(LayerRow(name, ops, bits, cycles, compute_s,
+                                 transfer_s, bound, energy))
     return rep
 
 

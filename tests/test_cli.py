@@ -258,8 +258,9 @@ def test_config_null_value_is_an_error(tmp_path, capsys):
     assert "leakage_mw" in err
 
 
-# a non-finite coefficient, or one whose clock or rate in Hz or bits/s
-# overflows, names its key; (yaml, key, mode the key reaches)
+# a non-finite coefficient, one whose clock or rate in Hz or bits/s
+# overflows, or one so small that a layer's time is not finite names
+# its key; (yaml, key, mode the key reaches)
 NON_FINITE = {
     "freq-inf": ("modes: {sram-0v6: {freq_mhz: .inf}}", "freq_mhz",
                  "sram-0v6"),
@@ -276,6 +277,12 @@ NON_FINITE = {
     "marshal-bits-per-s-overflows": ("marshal_bits_per_cycle: 1e300",
                                      "marshal_bits_per_cycle",
                                      "marshal-0v6"),
+    "freq-tiny": ("modes: {sram-0v6: {freq_mhz: 1e-320}}", "freq_mhz",
+                  "sram-0v6"),
+    "hyperram-rate-tiny": ("hyperram_bits_per_s: 1e-320",
+                           "hyperram_bits_per_s", "hyperram"),
+    "marshal-rate-tiny": ("marshal_bits_per_cycle: 1e-320",
+                          "marshal_bits_per_cycle", "marshal-0v6"),
 }
 
 

@@ -3,7 +3,9 @@ tier-1 without a linter; and the packages the code imports are the
 ones pyproject.toml declares."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +61,12 @@ def test_imports_are_declared_dependencies():
     allowed = (deps | _declared("project.optional-dependencies", "test")
                | {"xnesim"})
     assert _imported("tests") <= allowed
+
+
+def test_yaml_is_imported_only_where_yaml_is_read():
+    # a fresh interpreter: the package and its CLI load without yaml
+    code = ("import sys, xnesim, xnesim.cli; "
+            "assert 'yaml' not in sys.modules, 'yaml imported at load'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -826,24 +826,28 @@ def test_run_network_keeps_no_state_between_calls():
 
 
 def test_run_network_memo_holds_each_planning_pair_once(monkeypatch):
-    # a cold and a warm pass over the grid give the reports of
-    # layer_cost itself; the memo then holds each network (spec, tp)
-    # that plans once, and a verify sweep adds none
+    # cold, warm and memo-bypassed passes over the grid give the same
+    # reports; then the profile memo holds each (network, tp) that
+    # plans once, the spec memo each network (spec, tp) that plans
+    # once, and neither equal fresh descriptors nor a verify sweep add
+    # an entry to either
     nets = [get_network(n) for n in NETWORKS]
     grid = [(net, mode, tp) for net in nets
             for mode in sorted(CoefficientSet().modes) for tp in VALID_TPS]
-    memo = runner.network_layer_cost
-    memo.cache_clear()
+    profiles, costs = runner.network_profile, runner.network_layer_cost
+    profiles.cache_clear()
+    costs.cache_clear()
     cold = [_outcome(*c) for c in grid]
     warm = [_outcome(*c) for c in grid]
     with monkeypatch.context() as m:
+        m.setattr(runner, "network_profile", profiles.__wrapped__)
         m.setattr(runner, "network_layer_cost", layer_cost)
         direct = [_outcome(*c) for c in grid]
     assert cold == warm == direct
     kinds = [o[0] if isinstance(o[0], type) else "fit" for o in cold]
     assert [kinds.count(k) for k in ("fit", CapacityError, PlanError)] \
         == [77, 90, 8]
-    pairs = set()
+    pairs, planned = set(), []
     for net in nets:
         for tp in VALID_TPS:
             for nl in net.layers:
@@ -852,13 +856,45 @@ def test_run_network_memo_holds_each_planning_pair_once(monkeypatch):
                 except PlanError:
                     break    # run_network stops at the first PlanError
                 pairs.add((nl.spec, tp))
-    assert memo.cache_info().currsize == len(pairs) == 172
-    misses = memo.cache_info().misses
+            else:
+                planned.append((net.name, tp))
+    assert profiles.cache_info().currsize == len(planned) == 33
+    assert costs.cache_info().currsize == len(pairs) == 172
+    before = [(f.cache_info().misses, f.cache_info().currsize)
+              for f in (profiles, costs)]
     for spec, tp in pairs:
-        memo(spec, tp)
+        costs(spec, tp)
+    for name, tp in planned:
+        profiles(get_network(name), tp)
     verify_layers(5, seed=1)
-    info = memo.cache_info()
-    assert (info.misses, info.currsize) == (misses, 172)
+    assert [(f.cache_info().misses, f.cache_info().currsize)
+            for f in (profiles, costs)] == before
+
+
+def test_descriptor_hash_is_fixed_when_built(monkeypatch):
+    # the hash a frozen dataclass would compute, stored: equal
+    # descriptors hash equal, and once built, a warm run hashes no layer
+    nets = [get_network(n) for n in NETWORKS]
+    for net in nets:
+        assert hash(net) == hash((net.name, net.layers))
+        assert get_network(net.name) == net
+        assert hash(get_network(net.name)) == hash(net)
+    grid = [(net, mode, tp) for net in nets
+            for mode in sorted(CoefficientSet().modes) for tp in VALID_TPS]
+    want = [_outcome(*c) for c in grid]
+
+    def unhashable(self):
+        raise AssertionError("a warm run hashed a layer")
+
+    monkeypatch.setattr(NetLayer, "__hash__", unhashable)
+    monkeypatch.setattr(LayerSpec, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="hashed a layer"):
+        hash(nets[0].layers[0])
+    # a PlanError is not cached, so only the runs that fit are warm
+    fits = [c for c, o in zip(grid, want) if not isinstance(o[0], type)]
+    assert len(fits) == 77
+    assert [_outcome(*c) for c in fits] == [o for o in want
+                                            if not isinstance(o[0], type)]
 
 
 def test_shared_cost_records_are_frozen():
