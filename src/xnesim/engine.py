@@ -129,8 +129,9 @@ class JobDescriptor:
 
 @dataclass(frozen=True)
 class PhaseSchedule:
-    """Closed-form cycle budget of one job. Frozen: its LayerCost,
-    memoised by network_layer_cost, shares it across networks."""
+    """Closed-form cycle budget of one job. Frozen: it is held by a
+    LayerCost, which every JobPlan of its layer shares, and by each
+    JobResult."""
 
     feature_load: int
     accumulate: int

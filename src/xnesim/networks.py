@@ -18,10 +18,11 @@ Pooling between layers is OR pooling (max over +/-1) or majority
 Parameter footprint is counted packed: d_eff weight bits per output
 channel tap plus one 8-bit threshold per channel.
 
-Descriptors are immutable. A NetworkDescriptor holds its layers as a
-tuple and fixes its footprint (packed parameter bits and activation
-peak) and its hash when it is built, so the runner's fit check
-compares stored values and its per-network memo reads no layer.
+Descriptors are immutable but for profiles, an uncompared dict where
+the analytic runner keeps its outcome per tp. A NetworkDescriptor holds
+its layers as a tuple and fixes its op count and footprint (packed
+parameter bits and activation peak) when it is built, so neither the
+fit check nor a run sums over the layers.
 """
 
 from __future__ import annotations
@@ -77,34 +78,32 @@ def _activation_peak(layers: tuple[NetLayer, ...]) -> int:
 
 @dataclass(frozen=True)
 class NetworkDescriptor:
-    """A network's layers in order, and its footprint and hash, fixed
-    when the descriptor is built. A list of layers is stored as a
-    tuple. The hash is the one a frozen dataclass would compute from
-    (name, layers), stored so that a memo keyed by the descriptor does
-    not hash every layer on each lookup."""
+    """A network's layers in order, and its op count and footprint,
+    fixed when the descriptor is built. A list of layers is stored as
+    a tuple; an empty one raises ShapeError. profiles holds the
+    analytic runner's outcome per tp (see runner.network_profile); it
+    is not compared, so equal descriptors stay equal and hash alike."""
 
     name: str
-    layers: tuple[NetLayer, ...] = ()
+    layers: tuple[NetLayer, ...]
+    total_ops: int = field(init=False, repr=False, compare=False)
     packed_param_bits: int = field(init=False, repr=False, compare=False)
     activation_peak_bytes: int = field(init=False, repr=False,
                                        compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    profiles: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
+        if not layers:
+            raise ShapeError(f"network {self.name!r} has no layers")
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "total_ops",
+                           sum(l.spec.ops for l in layers))
         object.__setattr__(self, "packed_param_bits",
                            sum(l.packed_param_bits for l in layers))
         object.__setattr__(self, "activation_peak_bytes",
                            _activation_peak(layers))
-        object.__setattr__(self, "_hash", hash((self.name, layers)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def total_ops(self) -> int:
-        return sum(l.spec.ops for l in self.layers)
 
 
 def make_resnet(depth: int) -> NetworkDescriptor:

@@ -19,17 +19,16 @@ carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
 Network runs are analytic and plan no job. A layer's cycles and ops
-come from layer_cost, memoised by (spec, tp) across networks, and a
-network's per-layer (name, ops, packed bits, cycles) is memoised by
-(network, tp) across modes, so a run only prices that profile at its
-mode. Energy comes from the operating point, and transfer time
-overlaps compute (parameters stream through a ring buffer at block
-granularity, so staging capacity never serializes a layer).
+come from layer_cost; a network's per-layer (name, ops, packed bits,
+cycles) at one tp is kept on its descriptor, so a run only prices that
+profile at its mode. Energy comes from the operating point, and
+transfer time overlaps compute (parameters stream through a ring
+buffer at block granularity, so staging capacity never serializes a
+layer).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,8 +105,7 @@ class LayerCost:
     geometry: n_out outputs in kout_tiles tiles, kin_tiles input tiles,
     npg lanes per band within a tile (tp when dense), the band_step
     walk. The properties derive from these fields. Frozen, so that
-    network_layer_cost can share one record per (spec, tp) across
-    networks."""
+    every JobPlan of a layer can share one record."""
 
     spec: LayerSpec
     tp: int
@@ -194,22 +192,25 @@ def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
                      kout_tiles, job.times(jobs), spec.ops)
 
 
-# network_profile's memo: networks share layers, and a network repeats
-# them, so a frozen LayerCost is shared per (spec, tp). Only network
-# layers enter it; a PlanError is not cached, so it is raised each time.
-network_layer_cost = functools.cache(layer_cost)
-
-
-@functools.cache
 def network_profile(net: NetworkDescriptor,
                     tp: int) -> tuple[tuple[str, int, int, int], ...]:
     """Per layer of net at tp, (name, ops, packed_param_bits, cycles):
-    all that run_network reads of a layer, the same in every mode. One
-    profile per (network, tp), shared across modes; the descriptor's
-    stored hash keeps the lookup cheap. A PlanError is not cached."""
-    costs = (network_layer_cost(nl.spec, tp) for nl in net.layers)
-    return tuple((nl.name, c.ops, nl.packed_param_bits, c.cycles)
-                 for nl, c in zip(net.layers, costs))
+    all that run_network reads of a layer, the same in every mode. The
+    first call per tp keeps its outcome in net.profiles: the profile,
+    or the message of the first layer's PlanError, which every later
+    call raises as a new PlanError."""
+    out = net.profiles.get(tp)
+    if out is None:
+        try:
+            costs = [layer_cost(nl.spec, tp) for nl in net.layers]
+            out = tuple((nl.name, c.ops, nl.packed_param_bits, c.cycles)
+                        for nl, c in zip(net.layers, costs))
+        except PlanError as ex:
+            out = str(ex)
+        net.profiles[tp] = out
+    if isinstance(out, str):
+        raise PlanError(out)
+    return out
 
 
 def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
@@ -379,7 +380,7 @@ class NetworkReport:
 
     @property
     def fps(self) -> float:
-        return 1.0 / self.total_seconds if self.total_seconds else 0.0
+        return 1.0 / self.total_seconds
 
     @property
     def energy(self) -> EnergyBreakdown:
@@ -394,16 +395,16 @@ class NetworkReport:
         lines = [f"network {self.network}  mode {self.mode}  tp {self.tp}",
                  h, "-" * len(h)]
         for r in self.rows:
-            opc = r.ops / r.cycles if r.cycles else 0.0
             lines.append(
-                f"{r.name:<12}{r.ops:>14}{r.cycles:>12}{opc:>8.1f}"
+                f"{r.name:<12}{r.ops:>14}{r.cycles:>12}"
+                f"{r.ops / r.cycles:>8.1f}"
                 f"{r.seconds * 1e6:>11.2f}{r.bound:>9}"
                 f"{r.energy.total_j * 1e6:>10.4f}")
         e = self.energy
         lines.append("-" * len(h))
         lines.append(
             f"{'total':<12}{self.total_ops:>14}{self.total_cycles:>12}"
-            f"{self.total_ops / max(self.total_cycles, 1):>8.1f}"
+            f"{self.total_ops / self.total_cycles:>8.1f}"
             f"{self.total_seconds * 1e6:>11.2f}{'':>9}"
             f"{e.total_j * 1e6:>10.4f}")
         lines.append(
@@ -412,7 +413,7 @@ class NetworkReport:
             f"marshal {e.marshal_j * 1e6:.4f} dma {e.dma_j * 1e6:.4f} "
             f"leakage {e.leakage_j * 1e6:.4f}")
         lines.append(f"throughput: {self.fps:.2f} inference/s "
-                     f"({self.total_ops / max(self.total_seconds, 1e-12) / 1e9:.2f} Gop/s)")
+                     f"({self.total_ops / self.total_seconds / 1e9:.2f} Gop/s)")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -452,8 +453,9 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
                 coeffs: CoefficientSet | None = None) -> NetworkReport:
     """Analytic pass: cycle budgets, transfer overlap, energy. Each row
     prices network_profile(net, tp) at the mode. DecodeError, naming
-    the mode, the layer and the coefficient, when a layer's time is
-    not finite: a positive clock or rate may still be too small."""
+    the mode and the coefficient, unless the total time in us, the ops
+    per second and each energy term in uJ are finite: a coefficient
+    that loads may still be too small or too large to print."""
     cs = coeffs or CoefficientSet()
     m = cs.mode(mode)
     EngineConfig(tp=tp)   # rejects a bad tp before check_fit
@@ -467,21 +469,43 @@ def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
     else:
         bits_per_s = math.inf   # resident parameters: no transfer
     rep = NetworkReport(net.name, mode, tp)
+    total_s = 0.0
     for name, ops, bits, cycles in network_profile(net, tp):
         compute_s = cycles / f_hz
         transfer_s = bits / bits_per_s
-        bound = "memory" if transfer_s > compute_s else "compute"
-        sec = max(compute_s, transfer_s)
-        if not math.isfinite(sec):
-            key = ("freq_mhz" if not math.isfinite(compute_s)
-                   else "hyperram_bits_per_s" if p.link
-                   else "marshal_bits_per_cycle")
-            raise DecodeError(f"mode {mode!r} layer {name!r}: time is not "
-                              f"finite; {key} is too small")
+        if transfer_s > compute_s:
+            bound, sec = "memory", transfer_s
+        else:
+            bound, sec = "compute", compute_s
+        total_s += sec
         energy = account_energy(ops, bits if p.marshal else 0,
                                 bits if p.link else 0, sec, m, cs)
         rep.rows.append(LayerRow(name, ops, bits, cycles, compute_s,
                                  transfer_s, bound, energy))
+    # every total is checked in the units printed; every layer has
+    # cycles, so total_s > 0
+    if not math.isfinite(total_s * 1e6):
+        small = ("freq_mhz" if not math.isfinite(
+                     sum(r.compute_s for r in rep.rows) * 1e6)
+                 else "hyperram_bits_per_s" if p.link
+                 else "marshal_bits_per_cycle")
+        raise DecodeError(f"mode {mode!r}: total time is not finite; "
+                          f"{small} is too small")
+    if not math.isfinite(net.total_ops / total_s):
+        raise DecodeError(f"mode {mode!r}: ops per second are not "
+                          f"finite; freq_mhz is too large")
+    # the energy from the network's totals bounds the sum of the rows'
+    # (all terms are >= 0); the margin covers the rows' rounding
+    bits = net.packed_param_bits
+    e = account_energy(net.total_ops, bits if p.marshal else 0,
+                       bits if p.link else 0, total_s, m, cs)
+    if not math.isfinite(e.total_j * 1e6 * (1 + 1e-9)):
+        terms = {"engine_fj_per_op": e.engine_j,
+                 "local_fj_per_op": e.local_j,
+                 "marshal_pj_per_bit": e.marshal_j,
+                 "hyperram_pj_per_bit": e.dma_j, "leakage_mw": e.leakage_j}
+        raise DecodeError(f"mode {mode!r}: energy is not finite; "
+                          f"{max(terms, key=terms.get)} is too large")
     return rep
 
 

@@ -259,8 +259,9 @@ def test_config_null_value_is_an_error(tmp_path, capsys):
 
 
 # a non-finite coefficient, one whose clock or rate in Hz or bits/s
-# overflows, or one so small that a layer's time is not finite names
-# its key; (yaml, key, mode the key reaches)
+# overflows, or one so small or large that a printed total (time in us,
+# ops per second, energy in uJ) is not finite names its key; (yaml,
+# key, mode the key reaches)
 NON_FINITE = {
     "freq-inf": ("modes: {sram-0v6: {freq_mhz: .inf}}", "freq_mhz",
                  "sram-0v6"),
@@ -283,6 +284,21 @@ NON_FINITE = {
                            "hyperram_bits_per_s", "hyperram"),
     "marshal-rate-tiny": ("marshal_bits_per_cycle: 1e-320",
                           "marshal_bits_per_cycle", "marshal-0v6"),
+    "freq-total-time-overflows": ("modes: {sram-0v6: {freq_mhz: 1e-306}}",
+                                  "freq_mhz", "sram-0v6"),
+    "freq-ops-per-s-overflows": ("modes: {sram-0v6: {freq_mhz: 1.7e302}}",
+                                 "freq_mhz", "sram-0v6"),
+    "engine-energy-overflows": (
+        "modes: {sram-0v6: {engine_fj_per_op: 1e308}}", "engine_fj_per_op",
+        "sram-0v6"),
+    "local-energy-overflows": (
+        "modes: {sram-0v6: {local_fj_per_op: 1e308}}", "local_fj_per_op",
+        "sram-0v6"),
+    "leakage-overflows": ("leakage_mw: 1e308", "leakage_mw", "sram-0v6"),
+    "marshal-energy-overflows": ("marshal_pj_per_bit: 1e308",
+                                 "marshal_pj_per_bit", "marshal-0v6"),
+    "hyperram-energy-overflows": ("hyperram_pj_per_bit: 1e308",
+                                  "hyperram_pj_per_bit", "hyperram"),
 }
 
 

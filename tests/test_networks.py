@@ -142,7 +142,15 @@ def test_footprint_fixed_at_construction(name):
     assert isinstance(net.layers, tuple)
     assert (net.packed_param_bits, net.activation_peak_bytes) == \
         _recomputed_footprint(net.layers)
+    assert net.total_ops == sum(l.spec.ops for l in net.layers)
     for field, value in (("name", "other"), ("layers", ()),
-                         ("packed_param_bits", 0)):
+                         ("packed_param_bits", 0), ("total_ops", 0)):
         with pytest.raises(FrozenInstanceError):
             setattr(net, field, value)
+
+
+@pytest.mark.parametrize("layers", [(), []])
+def test_empty_network_is_an_error(layers):
+    # a network with no layers would report zero time and zero cycles
+    with pytest.raises(ShapeError, match="no layers"):
+        NetworkDescriptor("empty", layers)

@@ -825,55 +825,58 @@ def test_run_network_keeps_no_state_between_calls():
     assert kinds == {"fit", CapacityError, PlanError}
 
 
-def test_run_network_memo_holds_each_planning_pair_once(monkeypatch):
-    # cold, warm and memo-bypassed passes over the grid give the same
-    # reports; then the profile memo holds each (network, tp) that
-    # plans once, the spec memo each network (spec, tp) that plans
-    # once, and neither equal fresh descriptors nor a verify sweep add
-    # an entry to either
+def _first_outcome(net, tp):
+    """What a descriptor should hold for tp, from layer_cost alone: the
+    profile, or the message of the first layer's PlanError."""
+    try:
+        costs = [layer_cost(nl.spec, tp) for nl in net.layers]
+    except PlanError as ex:
+        return str(ex)
+    return tuple((nl.name, c.ops, nl.packed_param_bits, c.cycles)
+                 for nl, c in zip(net.layers, costs))
+
+
+def test_descriptors_hold_one_outcome_per_tp():
+    # cold and warm passes over the grid give the same reports; then
+    # each descriptor holds one outcome per tp that got past check_fit,
+    # a profile or a PlanError's message, and neither an equal fresh
+    # descriptor nor a verify sweep gains one
     nets = [get_network(n) for n in NETWORKS]
     grid = [(net, mode, tp) for net in nets
             for mode in sorted(CoefficientSet().modes) for tp in VALID_TPS]
-    profiles, costs = runner.network_profile, runner.network_layer_cost
-    profiles.cache_clear()
-    costs.cache_clear()
     cold = [_outcome(*c) for c in grid]
     warm = [_outcome(*c) for c in grid]
-    with monkeypatch.context() as m:
-        m.setattr(runner, "network_profile", profiles.__wrapped__)
-        m.setattr(runner, "network_layer_cost", layer_cost)
-        direct = [_outcome(*c) for c in grid]
-    assert cold == warm == direct
+    assert cold == warm
     kinds = [o[0] if isinstance(o[0], type) else "fit" for o in cold]
     assert [kinds.count(k) for k in ("fit", CapacityError, PlanError)] \
         == [77, 90, 8]
-    pairs, planned = set(), []
+    held = [o for net in nets for o in net.profiles.values()]
+    assert len(held) == 35
+    assert sum(isinstance(o, str) for o in held) == 2
     for net in nets:
-        for tp in VALID_TPS:
-            for nl in net.layers:
-                try:
-                    layer_cost(nl.spec, tp)
-                except PlanError:
-                    break    # run_network stops at the first PlanError
-                pairs.add((nl.spec, tp))
-            else:
-                planned.append((net.name, tp))
-    assert profiles.cache_info().currsize == len(planned) == 33
-    assert costs.cache_info().currsize == len(pairs) == 172
-    before = [(f.cache_info().misses, f.cache_info().currsize)
-              for f in (profiles, costs)]
-    for spec, tp in pairs:
-        costs(spec, tp)
-    for name, tp in planned:
-        profiles(get_network(name), tp)
+        assert all(o == _first_outcome(net, tp)
+                   for tp, o in net.profiles.items())
     verify_layers(5, seed=1)
-    assert [(f.cache_info().misses, f.cache_info().currsize)
-            for f in (profiles, costs)] == before
+    for net in nets:
+        fresh = get_network(net.name)
+        assert fresh == net and fresh.profiles == {}
+    assert [o for net in nets for o in net.profiles.values()] == held
+    # a warm PlanError is a new error with the cold one's type and message
+    net, mode, tp = next(c for c, k in zip(grid, kinds) if k is PlanError)
+    net = get_network(net.name)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(PlanError) as info:
+            run_network(net, mode, tp=tp)
+        raised.append(info.value)
+    assert {(type(ex), str(ex)) for ex in raised} \
+        == {(PlanError, net.profiles[tp])}
+    assert len({id(ex) for ex in raised}) == 3
 
 
 def test_descriptor_hash_is_fixed_when_built(monkeypatch):
-    # the hash a frozen dataclass would compute, stored: equal
-    # descriptors hash equal, and once built, a warm run hashes no layer
+    # the hash a frozen dataclass computes from (name, layers): equal
+    # descriptors hash equal, and a warm run hashes no layer
     nets = [get_network(n) for n in NETWORKS]
     for net in nets:
         assert hash(net) == hash((net.name, net.layers))
@@ -890,16 +893,11 @@ def test_descriptor_hash_is_fixed_when_built(monkeypatch):
     monkeypatch.setattr(LayerSpec, "__hash__", unhashable)
     with pytest.raises(AssertionError, match="hashed a layer"):
         hash(nets[0].layers[0])
-    # a PlanError is not cached, so only the runs that fit are warm
-    fits = [c for c, o in zip(grid, want) if not isinstance(o[0], type)]
-    assert len(fits) == 77
-    assert [_outcome(*c) for c in fits] == [o for o in want
-                                            if not isinstance(o[0], type)]
+    assert [_outcome(*c) for c in grid] == want
 
 
 def test_shared_cost_records_are_frozen():
-    cost = runner.network_layer_cost(
-        get_network("mvgg-2").layers[0].spec, 128)
+    cost = layer_cost(get_network("mvgg-2").layers[0].spec, 128)
     for record, name in ((cost, "jobs"), (cost.schedule, "accumulate")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, 0)
