@@ -13,18 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import _check_dim, image_bytes as image_bytes
 from .bits import WORD_DTYPE, pack_bits, unpack_bits, words_for_bits
 from .errors import ShapeError
-
-
-def _check_dim(name, v):
-    if not (isinstance(v, (int, np.integer)) and v >= 1):
-        raise ShapeError(f"{name} must be a positive integer, got {v!r}")
-
-
-def image_bytes(c: int, h: int, w: int) -> int:
-    """Bytes of a packed (c, h, w) image: h*w pixels of whole words."""
-    return 4 * h * w * words_for_bits(c)
 
 
 def _payload(words, shape: tuple) -> np.ndarray:

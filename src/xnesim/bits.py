@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analytic import WORD_BITS, words_for_bits
 from .errors import ShapeError
 
-WORD_BITS = 32
 WORD_DTYPE = np.uint32
 # row b: the eight bits of byte b, LSB first, as +1 (bit set) or -1
 _PM1_OF_BYTE = (2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                                   axis=1, bitorder="little")
                 .astype(np.float32) - 1)
-
-
-def words_for_bits(nbits: int) -> int:
-    """Number of 32-bit words needed to hold *nbits* bits."""
-    return (int(nbits) + WORD_BITS - 1) // WORD_BITS
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

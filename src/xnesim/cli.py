@@ -15,6 +15,10 @@ nothing at all if any network, mode or tp is invalid.
 Exit codes: 0 ok, 2 usage, 3 parse/decode or other input error,
 4 does not fit (capacity, planning or memory-region error),
 5 verification mismatch.
+
+`run net` and `report` read only xnesim.analytic and import no numpy;
+`run layer`, `verify` and `ucode` import the functional modules when
+they run.
 """
 
 from __future__ import annotations
@@ -22,16 +26,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .engine import EngineConfig
+from .analytic import (DEFAULT_COEFFICIENTS, CoefficientSet, LayerSpec,
+                       get_network, load_coefficients, run_network)
 from .errors import CapacityError, PlanError, RegionError, XneError
-from .golden import LayerSpec
-from .memory import CoefficientSet, load_coefficients
-from .microcode import (disassemble, parse_program, program_to_yaml,
-                        reference_program)
-from .networks import get_network
-from .runner import run_network, verify_layer, verify_layers
 
 EXIT_PARSE = 3
 EXIT_CAPACITY = 4
@@ -39,7 +36,8 @@ EXIT_VERIFY = 5
 
 
 def _coeffs(args) -> CoefficientSet:
-    return load_coefficients(args.config) if args.config else CoefficientSet()
+    return (load_coefficients(args.config) if args.config
+            else DEFAULT_COEFFICIENTS)
 
 
 def _seed(args) -> int:
@@ -59,6 +57,8 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_ucode_asm(args) -> int:
+    from .microcode import parse_program
+
     with open(args.input) as f:
         prog = parse_program(f.read())
     blob = prog.assemble()
@@ -71,11 +71,15 @@ def cmd_ucode_asm(args) -> int:
 
 
 def cmd_ucode_ref(args) -> int:
+    from .microcode import program_to_yaml, reference_program
+
     _emit(args, program_to_yaml(reference_program()))
     return 0
 
 
 def cmd_ucode_dis(args) -> int:
+    from .microcode import disassemble, program_to_yaml
+
     with open(args.input, "rb") as f:
         data = f.read()
     _emit(args, program_to_yaml(disassemble(data)))
@@ -83,6 +87,11 @@ def cmd_ucode_dis(args) -> int:
 
 
 def cmd_run_layer(args) -> int:
+    import numpy as np
+
+    from .engine import EngineConfig
+    from .runner import verify_layer
+
     spec = LayerSpec(nif=args.nif, nof=args.nof, fs=args.fs,
                      h_out=args.h, w_out=args.w, d=args.d)
     run, mism = verify_layer(EngineConfig(tp=args.tp), spec,
@@ -130,6 +139,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .runner import verify_layers
+
     recs = verify_layers(args.layers, seed=_seed(args), tp=args.tp)
     bad = [r for r in recs if r["mismatches"]]
     total_ops = sum(r["ops"] for r in recs)

@@ -36,17 +36,14 @@ magnitude at most 2**21, and float32 holds integers exactly below
 once per job because the walk reads one weight block per (output
 tile, inner step) at every pixel; a walk that does not raises
 PlanError.
-Phase cycles are the closed-form phase_schedule, checked against the
+Phase cycles are the closed-form phase_schedule (defined, with its
+constants and VALID_TPS, in xnesim.analytic), checked against the
 accumulate cycles of the walk.
 
 A threshold byte holds the 7-bit two's-complement quantized threshold
 in bits 6..0 and the comparison direction in bit 7 (set = negative
 batch-norm scale, compare acc <= tau). The job's shift scales tau back
 to the popcount domain.
-
-Cycle counts use fixed per-phase constants (stream setup, inter-phase
-gap, job overhead) calibrated so a TP=128, 128x128x3x3 layer sustains
-~218 ops/cycle.
 """
 
 from __future__ import annotations
@@ -55,6 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import (JOB_OVERHEAD as JOB_OVERHEAD, PHASE_GAP as PHASE_GAP,
+                       STREAM_SETUP as STREAM_SETUP, VALID_TPS as VALID_TPS,
+                       PhaseSchedule, check_tp, phase_schedule)
 from .bits import pack_bits, unpack_bits
 from .errors import PlanError, ShapeError
 from .golden import SHIFT_MAX, ThresholdSpec
@@ -63,10 +63,6 @@ from .microcode import (JobGeometry, reference_program, ucode_registers,
                         walk_offsets)
 
 ACC_MAX = 0xFFFF
-VALID_TPS = (32, 64, 128, 256, 512)
-STREAM_SETUP = 2    # cycles to arm a streamer channel
-PHASE_GAP = 8       # drain/settle cycles between phases
-JOB_OVERHEAD = 16   # offload + register copy per job
 _PROGRAM = reference_program()    # built once, frozen; every engine walks it
 
 
@@ -76,8 +72,7 @@ class EngineConfig:
     saturate: bool = True
 
     def __post_init__(self):
-        if self.tp not in VALID_TPS:
-            raise ShapeError(f"tp must be one of {VALID_TPS}")
+        check_tp(self.tp)
 
 
 def encode_thresholds(thr: ThresholdSpec) -> np.ndarray:
@@ -125,52 +120,6 @@ class JobDescriptor:
                 raise ShapeError(f"{name} must be word aligned")
         if not 0 <= self.shift <= SHIFT_MAX:
             raise ShapeError(f"shift outside [0, {SHIFT_MAX}]")
-
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """Closed-form cycle budget of one job. Frozen: it is held by a
-    LayerCost, which every JobPlan of its layer shares, and by each
-    JobResult."""
-
-    feature_load: int
-    accumulate: int
-    threshold: int
-    gaps: int
-    overhead: int
-
-    @property
-    def total(self) -> int:
-        return (self.feature_load + self.accumulate + self.threshold
-                + self.gaps + self.overhead)
-
-    def times(self, n: int) -> PhaseSchedule:
-        """The budget of n jobs with this one's schedule."""
-        return PhaseSchedule(self.feature_load * n, self.accumulate * n,
-                             self.threshold * n, self.gaps * n,
-                             self.overhead * n)
-
-
-def phase_schedule(fs: int, pixels: int, kin_tiles: int, kout_tiles: int,
-                   valid_lanes: int) -> PhaseSchedule:
-    """Cycle budget of one job, from plain integers: the job walks
-    *pixels* output pixels, each over kout_tiles output tiles of
-    fs*fs*kin_tiles blocks, and its tiles hold *valid_lanes* valid
-    lanes in total (the sum of the job's valid_out). Per block
-    (STREAM_SETUP+1) load + 2 gaps + one accumulate cycle per valid
-    lane; per tile a threshold phase of STREAM_SETUP + 8 + 1 + 1 (TP
-    threshold bytes over tp/32 ports of 32 bits) plus 2 gaps; one
-    overhead per job."""
-    blocks_per_tile = fs * fs * kin_tiles
-    n_tiles = pixels * kout_tiles
-    n_blocks = n_tiles * blocks_per_tile
-    return PhaseSchedule(
-        feature_load=n_blocks * (STREAM_SETUP + 1),
-        accumulate=pixels * blocks_per_tile * valid_lanes,
-        # tp threshold bytes over tp/32 ports of 32 bits: 8 at every tp
-        threshold=n_tiles * (STREAM_SETUP + 8 + 1 + 1),
-        gaps=(2 * n_blocks + 2 * n_tiles) * PHASE_GAP,
-        overhead=JOB_OVERHEAD)
 
 
 @dataclass

@@ -25,81 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .bintensor import BinaryTensor, BinaryWeights, _check_dim
+from .analytic import LayerSpec
+from .bintensor import BinaryTensor, BinaryWeights
 from .bits import unpack_pm1
 from .errors import DegenerateBatchNorm, PlanError, ShapeError
 
 TAU_Q_MIN = -64
 TAU_Q_MAX = 63
 SHIFT_MAX = 15     # widest threshold shift the engine applies
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Geometry of one binary layer.
-
-    d is the input-band width per output channel; None means full
-    connectivity. A fully-connected layer is fs=1, h_out=w_out=1 with
-    nif = flattened input length.
-
-    The derived integers (groups, d_eff, n_acc, h_in, w_in, macs, ops)
-    are computed once per spec, on first use; eq, hash and repr read
-    the six fields alone.
-    """
-
-    nif: int
-    nof: int
-    fs: int
-    h_out: int
-    w_out: int
-    d: int | None = None
-
-    def __post_init__(self):
-        for name in ("nif", "nof", "fs", "h_out", "w_out"):
-            _check_dim(name, getattr(self, name))
-        if self.d is not None:
-            if not (1 <= self.d <= self.nif):
-                raise ShapeError(f"band width {self.d} outside [1, {self.nif}]")
-            if self.nif % self.d:
-                raise ShapeError(f"band width {self.d} must divide nif={self.nif}")
-            if self.nof % self.groups:
-                raise ShapeError(
-                    f"nof={self.nof} not divisible by {self.groups} bands")
-
-    @cached_property
-    def groups(self) -> int:
-        return 1 if self.d is None else self.nif // self.d
-
-    @cached_property
-    def d_eff(self) -> int:
-        """Input channels seen by one output channel."""
-        return self.nif // self.groups
-
-    @cached_property
-    def n_acc(self) -> int:
-        """Receptive-field size: bits accumulated per output element."""
-        return self.d_eff * self.fs * self.fs
-
-    @cached_property
-    def h_in(self) -> int:
-        return self.h_out + self.fs - 1
-
-    @cached_property
-    def w_in(self) -> int:
-        return self.w_out + self.fs - 1
-
-    @cached_property
-    def macs(self) -> int:
-        return self.nof * self.h_out * self.w_out * self.n_acc
-
-    @cached_property
-    def ops(self) -> int:
-        """xnor+popcount counted as 2 ops per accumulated bit."""
-        return 2 * self.macs
 
 
 @dataclass

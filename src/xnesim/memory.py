@@ -1,49 +1,25 @@
-"""Memory map, placement, stream realigner and the energy/operating-point
-model.
+"""The memory system's backing store, traffic counters and stream
+realigner.
 
-The accelerator lives in a cluster with a small standard-cell memory,
-a larger shared SRAM bank, a core-coupled scratchpad, and an external
-serial HyperRAM behind a 1 Gbit/s link. The streamer issues
-word-aligned transactions and realigns byte-offset streams on the fly.
-
-Energy is accounted per binary op (engine + local memory access) plus
-per-bit costs for marshalling parameters inside the cluster and for
-fetching them over the HyperRAM link.
+The memory map, placement and energy model are defined in
+xnesim.analytic and re-exported here as the same objects. The
+streamer issues word-aligned transactions and realigns byte-offset
+streams on the fly.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-
 import numpy as np
 
-from .errors import DecodeError, ModeError, RegionError, ShapeError
-
-KIB = 1024
-MIB = 1024 * KIB
-
-
-@dataclass(frozen=True)
-class Region:
-    name: str
-    base: int
-    size: int
-
-    def contains(self, addr: int, nbytes: int = 1) -> bool:
-        return self.base <= addr and addr + nbytes <= self.base + self.size
-
-
-def default_memory_map() -> list[Region]:
-    return [
-        Region("l1", 0x1000_0000, 64 * KIB),        # core-coupled scratchpad
-        Region("scm", 0x2000_0000, 8 * KIB),        # standard-cell memory
-        Region("sram", 0x2010_0000, 448 * KIB),     # shared bank
-        Region("hyperram", 0x8000_0000, 8 * MIB),   # external, serial link
-    ]
-
+from .analytic import (FUNCTIONAL as FUNCTIONAL, KIB as KIB, MIB as MIB,
+                       PLACEMENTS as PLACEMENTS,
+                       CoefficientSet as CoefficientSet,
+                       EnergyBreakdown as EnergyBreakdown,
+                       ModeEnergy as ModeEnergy, Placement as Placement,
+                       Region, account_energy as account_energy,
+                       default_memory_map,
+                       load_coefficients as load_coefficients)
+from .errors import RegionError, ShapeError
 
 # the map's regions in address order, with their bases and ends: one
 # searchsorted finds the region of every access of a batch
@@ -235,248 +211,3 @@ def realign(words: np.ndarray, byte_offset: int, nbytes: int) -> np.ndarray:
     if rem:
         out[-1] &= np.uint32((1 << (8 * rem)) - 1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Placement: where a layer's data lives
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Where each kind of a layer's data lives under one
-    ModeEnergy.weights_region, as regions of default_memory_map(), so a
-    capacity is its region's size. The functional path keeps its images
-    in `images` and its weight and threshold streams in `streams`,
-    whatever the mode. The analytic path keeps parameters in `params`,
-    staged in sram when `marshal` and fetched over the HyperRAM link
-    when `link`, and live activations, im2col inputs not counted, in
-    `activations` together. The paths disagree on activations, on
-    weights and on parameter size (blocks padded to tp x tp bits vs
-    packed bits); both sides are kept as they are.
-    """
-
-    weights_region: str
-    images: Region
-    streams: Region
-    params: Region
-    activations: tuple[Region, ...]
-    marshal: bool
-    link: bool
-
-    @cached_property
-    def activation_bytes(self) -> int:
-        return sum(r.size for r in self.activations)
-
-
-_REGION = {r.name: r for r in _BY_BASE}
-# one per ModeEnergy.weights_region: its name and its parameter region
-PLACEMENTS = {
-    name: Placement(name, images=_REGION["l1"], streams=_REGION["sram"],
-                    params=_REGION[params],
-                    activations=(_REGION["sram"], _REGION["scm"]),
-                    marshal=name == "sram_marshal", link=name == "hyperram")
-    for name, params in (("scm", "scm"), ("sram", "sram"),
-                         ("sram_marshal", "sram"), ("hyperram", "hyperram"))}
-# the functional path takes no mode; its images and streams are the
-# same in every placement
-FUNCTIONAL = PLACEMENTS["sram"]
-
-
-# ---------------------------------------------------------------------------
-# Energy model and operating points
-
-
-def _check_range(what: str, value: float, positive: bool) -> None:
-    """DecodeError naming *what* unless value is finite and > 0
-    (positive) or >= 0."""
-    if not math.isfinite(value):
-        raise DecodeError(f"{what} must be finite, got {value}")
-    if not (value > 0 if positive else value >= 0):
-        raise DecodeError(f"{what} must be "
-                          f"{'positive' if positive else 'non-negative'}, "
-                          f"got {value}")
-
-
-def _check_rate(what: str, value: float, rate: float, unit: str) -> None:
-    """DecodeError naming *what* unless rate, the clock or transfer rate
-    that value sets, is finite: a finite value may still overflow."""
-    if not math.isfinite(rate):
-        raise DecodeError(f"{what} {value:g} overflows: {unit} is not "
-                          f"finite")
-
-
-@dataclass(frozen=True)
-class ModeEnergy:
-    """One voltage/placement operating point.
-
-    Per-op energy splits into the engine datapath and the local memory
-    traffic bundled with each op; parameters additionally pay per-bit
-    costs depending on where they live (see CoefficientSet). A
-    non-finite value, a non-positive clock or one that overflows in Hz,
-    a negative energy or a weights_region with no Placement raises
-    DecodeError.
-    """
-
-    name: str
-    engine_fj_per_op: float
-    local_fj_per_op: float
-    freq_mhz: float
-    weights_region: str        # a key of PLACEMENTS
-
-    def __post_init__(self):
-        for k in ("engine_fj_per_op", "local_fj_per_op", "freq_mhz"):
-            _check_range(f"mode {self.name!r} {k}", getattr(self, k),
-                         positive=k == "freq_mhz")
-        _check_rate(f"mode {self.name!r} freq_mhz", self.freq_mhz,
-                    self.freq_mhz * 1e6, "the clock in Hz")
-        if not (isinstance(self.weights_region, str)
-                and self.weights_region in PLACEMENTS):
-            raise DecodeError(
-                f"mode {self.name!r} weights_region "
-                f"{self.weights_region!r} is not one of "
-                f"{', '.join(PLACEMENTS)}")
-
-    @property
-    def total_fj_per_op(self) -> float:
-        return self.engine_fj_per_op + self.local_fj_per_op
-
-
-# built once: ModeEnergy is frozen, so every CoefficientSet may share them
-_DEFAULT_MODES = {
-    "scm-0v4": ModeEnergy("scm-0v4", 6.42, 15.18, 60.0, "scm"),
-    "scm-0v5": ModeEnergy("scm-0v5", 11.94, 28.26, 127.0, "scm"),
-    "sram-0v6": ModeEnergy("sram-0v6", 14.2, 100.8, 250.0, "sram"),
-    "marshal-0v6": ModeEnergy("marshal-0v6", 14.2, 37.8, 250.0,
-                              "sram_marshal"),
-    "hyperram": ModeEnergy("hyperram", 14.2, 100.8, 490.0, "hyperram"),
-}
-
-
-@dataclass
-class CoefficientSet:
-    modes: dict[str, ModeEnergy] = field(
-        default_factory=_DEFAULT_MODES.copy)
-    marshal_pj_per_bit: float = 8.7     # uDMA repacking inside the cluster
-    hyperram_pj_per_bit: float = 28.6   # serial link transfer
-    hyperram_bits_per_s: float = 1e9
-    marshal_bits_per_cycle: float = 32.0
-    leakage_mw: float = 0.0
-
-    def mode(self, name: str) -> ModeEnergy:
-        if name not in self.modes:
-            raise ModeError(f"unknown mode {name!r}; have "
-                            f"{sorted(self.modes)}")
-        return self.modes[name]
-
-
-_SCALAR_KEYS = ("marshal_pj_per_bit", "hyperram_pj_per_bit",
-                "hyperram_bits_per_s", "marshal_bits_per_cycle", "leakage_mw")
-_RATE_KEYS = ("hyperram_bits_per_s", "marshal_bits_per_cycle")
-_MODE_KEYS = tuple(f.name for f in dataclasses.fields(ModeEnergy)
-                   if f.name != "name")
-
-
-def _mapping(doc, what: str, allowed: tuple[str, ...] | None = None) -> dict:
-    """doc itself, if it is a mapping whose keys are all in allowed
-    (any key when allowed is None); DecodeError otherwise."""
-    if not isinstance(doc, dict):
-        raise DecodeError(f"{what} must be a mapping, "
-                          f"got {type(doc).__name__}")
-    for k in doc:
-        if allowed is not None and k not in allowed:
-            raise DecodeError(f"unknown key {k!r} in {what}; "
-                              f"expected one of {', '.join(allowed)}")
-    return doc
-
-
-def _number(value, what: str) -> float:
-    """value as a float; DecodeError naming *what* if it is not a number."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise DecodeError(f"{what} must be a number, got {value!r}")
-
-
-def load_coefficients(path: str) -> CoefficientSet:
-    """Override coefficients from a YAML file (partial updates allowed;
-    a new mode gives every field). Malformed YAML, a document that is
-    not a mapping, an unknown or missing key, a value that is not a
-    number or out of range, or a marshalling rate in bits/s that
-    overflows raises DecodeError."""
-    import yaml   # imported where YAML is read, not at load
-
-    with open(path) as f:
-        try:
-            doc = yaml.safe_load(f) or {}
-        except yaml.YAMLError as ex:
-            raise DecodeError(f"{path}: not valid YAML: "
-                              f"{' '.join(str(ex).split())}") from None
-    _mapping(doc, str(path), _SCALAR_KEYS + ("modes",))
-    scalars = {k: _number(doc[k], f"{path}: {k}")
-               for k in _SCALAR_KEYS if k in doc}
-    for k, v in scalars.items():
-        _check_range(f"{path}: {k}", v, positive=k in _RATE_KEYS)
-    cs = CoefficientSet(**scalars)
-    modes = _mapping(doc.get("modes") or {}, f"{path} modes")
-    for name, given in modes.items():
-        what = f"{path} mode {name!r}"
-        _mapping(given, what, _MODE_KEYS)
-        missing = [k for k in _MODE_KEYS if k not in given]
-        if name not in cs.modes and missing:
-            raise DecodeError(f"{what} is new and must give "
-                              f"{', '.join(missing)}")
-        kw = {k: (v if k == "weights_region" else _number(v, f"{what} {k}"))
-              for k, v in given.items()}
-        cs.modes[name] = (replace(cs.modes[name], **kw) if name in cs.modes
-                          else ModeEnergy(name, **kw))
-    for m in cs.modes.values():
-        if PLACEMENTS[m.weights_region].marshal:
-            _check_rate(f"{path}: marshal_bits_per_cycle",
-                        cs.marshal_bits_per_cycle,
-                        cs.marshal_bits_per_cycle * (m.freq_mhz * 1e6),
-                        f"the marshalling rate in bits/s of mode {m.name!r}")
-    return cs
-
-
-@dataclass
-class EnergyBreakdown:
-    compute_j: float = 0.0    # ops * (engine + local)
-    engine_j: float = 0.0
-    local_j: float = 0.0
-    marshal_j: float = 0.0    # parameter repacking, per packed bit
-    dma_j: float = 0.0        # HyperRAM link, per transferred bit
-    leakage_j: float = 0.0
-
-    @property
-    def memory_j(self) -> float:
-        """Parameter-movement share (criteria compare it to compute)."""
-        return self.marshal_j + self.dma_j
-
-    @property
-    def total_j(self) -> float:
-        return self.compute_j + self.marshal_j + self.dma_j + self.leakage_j
-
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            self.compute_j + other.compute_j,
-            self.engine_j + other.engine_j,
-            self.local_j + other.local_j,
-            self.marshal_j + other.marshal_j,
-            self.dma_j + other.dma_j,
-            self.leakage_j + other.leakage_j)
-
-
-def account_energy(ops: int, marshal_bits: int, hyperram_bits: int,
-                   seconds: float, m: ModeEnergy,
-                   cs: CoefficientSet) -> EnergyBreakdown:
-    """Energy of ops at operating point m, plus the per-bit parameter
-    costs and leakage of cs. Built positionally, in field order: it
-    runs once per row of run_network, where keywords cost time."""
-    return EnergyBreakdown(ops * m.total_fj_per_op * 1e-15,      # compute
-                           ops * m.engine_fj_per_op * 1e-15,
-                           ops * m.local_fj_per_op * 1e-15,
-                           marshal_bits * cs.marshal_pj_per_bit * 1e-12,
-                           hyperram_bits * cs.hyperram_pj_per_bit * 1e-12,
-                           seconds * cs.leakage_mw * 1e-3)        # leakage

@@ -1,53 +1,39 @@
-"""Mapping layers onto the engine and running whole networks.
+"""Mapping layers onto the engine: the functional layer path.
 
-layer_cost maps a layer to engine jobs by one rule:
-
-  * banded connectivity whose bands fold linearly onto output tiles
-    (tp is a multiple of the outputs per band, and the input span of
-    one tile is word-aligned): one job using the band_step walk plus
-    per-lane masks;
-  * anything else: one dense job per band, offset into the shared
-    input/output images (band and group sizes must be word-aligned).
-    Full connectivity is the single-band case, so it never folds.
-
-Its LayerCost is the one record of a layer's closed-form facts; the
-functional path's plan_layer builds each JobPlan to hold it.
+plan_layer builds a layer's jobs from its LayerCost, the one record of
+a layer's closed-form facts (xnesim.analytic.layer_cost, which applies
+the fold-or-split rule); each JobPlan holds it.
 
 The weight stream holds, per (output tile, tap, input tile), TP lanes
 of TP bits each, lane vectors aligned with where the feature vector
 carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
-Network runs are analytic and plan no job. A layer's cycles and ops
-come from layer_cost; a network's per-layer (name, ops, packed bits,
-cycles) at one tp is kept on its descriptor, so a run only prices that
-profile at its mode. Energy comes from the operating point, and
-transfer time overlaps compute (parameters stream through a ring
-buffer at block granularity, so staging capacity never serializes a
-layer).
+The analytic network runs (run_network and what it reads) are defined
+in xnesim.analytic and re-exported here as the same objects.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
-                        image_bytes)
+from .analytic import (FUNCTIONAL, LayerCost, LayerRow as LayerRow,
+                       NetworkReport as NetworkReport,
+                       check_fit as check_fit, image_bytes, layer_cost,
+                       network_profile as network_profile,
+                       run_network as run_network)
+from .bintensor import BinaryTensor, BinaryWeights, bit_mismatches
 from .bits import words_for_bits
 from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
                      encode_thresholds, phase_schedule)
-from .errors import (CapacityError, DecodeError, PlanError, ShapeError,
-                     XneError)
+from .errors import CapacityError, ShapeError, XneError
 from .golden import (LayerSpec, ThresholdSpec, check_layer_inputs,
                      derive_thresholds, layer_golden, random_batchnorm,
                      random_layer_data)
-from .memory import (FUNCTIONAL, KIB, PLACEMENTS, CoefficientSet,
-                     EnergyBreakdown, Memory, account_energy)
+from .memory import Memory
 from .microcode import JobGeometry
-from .networks import NetworkDescriptor
 
 
 @dataclass
@@ -97,120 +83,6 @@ class LayerPlan:
 
     def cycles(self, cfg: EngineConfig) -> int:
         return sum(s.total for s in self.schedules(cfg))
-
-
-@dataclass(frozen=True)
-class LayerCost:
-    """A layer's closed-form facts at one tp. Its jobs share one
-    geometry: n_out outputs in kout_tiles tiles, kin_tiles input tiles,
-    npg lanes per band within a tile (tp when dense), the band_step
-    walk. The properties derive from these fields. Frozen, so that
-    every JobPlan of a layer can share one record."""
-
-    spec: LayerSpec
-    tp: int
-    jobs: int
-    n_out: int                # outputs per job
-    npg: int
-    band_step: int
-    kin_tiles: int
-    kout_tiles: int
-    schedule: PhaseSchedule   # summed over the jobs
-    ops: int
-
-    @property
-    def cycles(self) -> int:
-        return self.schedule.total
-
-    @property
-    def weight_bytes(self) -> int:
-        """One job's weight stream: kout_tiles * fs * fs * kin_tiles
-        blocks of tp*tp bits, remainder tiles padded."""
-        return (self.kout_tiles * self.spec.fs ** 2 * self.kin_tiles
-                * self.tp * self.tp // 8)
-
-    @property
-    def thr_bytes(self) -> int:
-        """One job's thresholds: one byte per lane of its output tiles."""
-        return self.kout_tiles * self.tp
-
-    @property
-    def job_bytes(self) -> int:
-        """One job's weight stream, then its thresholds."""
-        return self.weight_bytes + self.thr_bytes
-
-    @property
-    def _slack(self) -> int:
-        """Bytes free after each image in l1: masked tail reads may run
-        past it, at worst the banded walk plus one vector."""
-        tail = (self.kout_tiles * self.band_step
-                + (self.kin_tiles + 1) * self.tp) // 8
-        return (max(4 * self.tp, tail) + 3) & ~3
-
-    @property
-    def y_offset(self) -> int:
-        """Offset of the output image from the input image in l1."""
-        s = self.spec
-        return image_bytes(s.nif, s.h_in, s.w_in) + self._slack
-
-    def check_buffers(self) -> None:
-        """CapacityError unless both images and their slack fit the
-        functional placement's images region and the jobs' streams, end
-        to end, fit its streams region: before any data exists."""
-        s, images, streams = self.spec, FUNCTIONAL.images, FUNCTIONAL.streams
-        if (self.y_offset + image_bytes(s.nof, s.h_out, s.w_out)
-                + self._slack > images.size):
-            raise CapacityError(f"activations exceed the {images.name} "
-                                f"region")
-        if self.jobs * self.job_bytes > streams.size:
-            raise CapacityError(f"weight stream and thresholds exceed "
-                                f"the {streams.name} region")
-
-
-def layer_cost(spec: LayerSpec, tp: int) -> LayerCost:
-    """The fold-or-split rule of the module docstring, in closed form.
-    Each job's tiles hold its n_out valid lanes, so the summed schedule
-    is the job count times one job's. PlanError when the bands neither
-    fold nor split into word-aligned per-band jobs."""
-    groups, d_eff = spec.groups, spec.d_eff
-    npg = spec.nof // groups
-    if groups > 1 and tp % npg == 0 and (tp // npg) * d_eff % 32 == 0:
-        # bands fold linearly onto output tiles: one job, banded walk
-        band_step = (tp // npg) * d_eff
-        jobs, n_out, span = 1, spec.nof, band_step
-    else:
-        # one dense job per band; full connectivity is the single band
-        if groups > 1 and (d_eff % 32 or npg % 32):
-            raise PlanError(
-                f"band width {d_eff} / band outputs {npg} "
-                f"must be word-aligned to split into per-band jobs")
-        jobs, n_out, npg, band_step, span = groups, npg, tp, 0, d_eff
-    kin_tiles, kout_tiles = (span + tp - 1) // tp, (n_out + tp - 1) // tp
-    job = phase_schedule(spec.fs, spec.h_out * spec.w_out, kin_tiles,
-                         kout_tiles, n_out)
-    return LayerCost(spec, tp, jobs, n_out, npg, band_step, kin_tiles,
-                     kout_tiles, job.times(jobs), spec.ops)
-
-
-def network_profile(net: NetworkDescriptor,
-                    tp: int) -> tuple[tuple[str, int, int, int], ...]:
-    """Per layer of net at tp, (name, ops, packed_param_bits, cycles):
-    all that run_network reads of a layer, the same in every mode. The
-    first call per tp keeps its outcome in net.profiles: the profile,
-    or the message of the first layer's PlanError, which every later
-    call raises as a new PlanError."""
-    out = net.profiles.get(tp)
-    if out is None:
-        try:
-            costs = [layer_cost(nl.spec, tp) for nl in net.layers]
-            out = tuple((nl.name, c.ops, nl.packed_param_bits, c.cycles)
-                        for nl, c in zip(net.layers, costs))
-        except PlanError as ex:
-            out = str(ex)
-        net.profiles[tp] = out
-    if isinstance(out, str):
-        raise PlanError(out)
-    return out
 
 
 def plan_layer(spec: LayerSpec, tp: int) -> LayerPlan:
@@ -337,176 +209,6 @@ def execute_layer(cfg: EngineConfig, spec: LayerSpec, x: BinaryTensor,
         spec.h_out, spec.w_out, -1)
     return LayerRun(BinaryTensor(spec.nof, spec.h_out, spec.w_out, out_words),
                     runs, plan)
-
-
-# ---------------------------------------------------------------------------
-# Analytic network runs
-
-
-@dataclass
-class LayerRow:
-    name: str
-    ops: int
-    param_bits: int
-    cycles: int
-    compute_s: float
-    transfer_s: float
-    bound: str
-    energy: EnergyBreakdown
-
-    @property
-    def seconds(self) -> float:
-        return max(self.compute_s, self.transfer_s)
-
-
-@dataclass
-class NetworkReport:
-    network: str
-    mode: str
-    tp: int
-    rows: list[LayerRow] = field(default_factory=list)
-
-    @property
-    def total_ops(self) -> int:
-        return sum(r.ops for r in self.rows)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(r.cycles for r in self.rows)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.rows)
-
-    @property
-    def fps(self) -> float:
-        return 1.0 / self.total_seconds
-
-    @property
-    def energy(self) -> EnergyBreakdown:
-        tot = EnergyBreakdown()
-        for r in self.rows:
-            tot = tot + r.energy
-        return tot
-
-    def to_text(self) -> str:
-        h = (f"{'layer':<12}{'ops':>14}{'cycles':>12}{'op/cy':>8}"
-             f"{'time[us]':>11}{'bound':>9}{'E[uJ]':>10}")
-        lines = [f"network {self.network}  mode {self.mode}  tp {self.tp}",
-                 h, "-" * len(h)]
-        for r in self.rows:
-            lines.append(
-                f"{r.name:<12}{r.ops:>14}{r.cycles:>12}"
-                f"{r.ops / r.cycles:>8.1f}"
-                f"{r.seconds * 1e6:>11.2f}{r.bound:>9}"
-                f"{r.energy.total_j * 1e6:>10.4f}")
-        e = self.energy
-        lines.append("-" * len(h))
-        lines.append(
-            f"{'total':<12}{self.total_ops:>14}{self.total_cycles:>12}"
-            f"{self.total_ops / self.total_cycles:>8.1f}"
-            f"{self.total_seconds * 1e6:>11.2f}{'':>9}"
-            f"{e.total_j * 1e6:>10.4f}")
-        lines.append(
-            f"energy[uJ]: compute {e.compute_j * 1e6:.4f} "
-            f"(engine {e.engine_j * 1e6:.4f} local {e.local_j * 1e6:.4f}) "
-            f"marshal {e.marshal_j * 1e6:.4f} dma {e.dma_j * 1e6:.4f} "
-            f"leakage {e.leakage_j * 1e6:.4f}")
-        lines.append(f"throughput: {self.fps:.2f} inference/s "
-                     f"({self.total_ops / self.total_seconds / 1e9:.2f} Gop/s)")
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        lines = ["layer,ops,param_bits,cycles,compute_s,transfer_s,bound,"
-                 "compute_j,marshal_j,dma_j,leakage_j,total_j"]
-        for r in self.rows:
-            e = r.energy
-            lines.append(
-                f"{r.name},{r.ops},{r.param_bits},{r.cycles},"
-                f"{r.compute_s:.9g},{r.transfer_s:.9g},{r.bound},"
-                f"{e.compute_j:.9g},{e.marshal_j:.9g},{e.dma_j:.9g},"
-                f"{e.leakage_j:.9g},{e.total_j:.9g}")
-        return "\n".join(lines)
-
-
-def check_fit(net: NetworkDescriptor, mode_region: str) -> None:
-    """CapacityError unless the descriptor's footprint, stored when it
-    was built, fits the placement of the mode's weights_region: its
-    packed parameters in the parameter region, its activation peak in
-    the activation regions together."""
-    p = PLACEMENTS[mode_region]
-    bits = net.packed_param_bits
-    if bits > 8 * p.params.size:
-        raise CapacityError(
-            f"{net.name}: {bits / 8 / KIB:.1f} KiB of parameters exceed "
-            f"the {p.params.size / KIB:.0f} KiB of {p.params.name} in the "
-            f"{mode_region} placement")
-    act = net.activation_peak_bytes
-    if act > p.activation_bytes:
-        names = " + ".join(r.name for r in p.activations)
-        raise CapacityError(
-            f"{net.name}: {act / KIB:.1f} KiB of live activations exceed "
-            f"the {p.activation_bytes / KIB:.0f} KiB of {names}")
-
-
-def run_network(net: NetworkDescriptor, mode: str, tp: int = 128,
-                coeffs: CoefficientSet | None = None) -> NetworkReport:
-    """Analytic pass: cycle budgets, transfer overlap, energy. Each row
-    prices network_profile(net, tp) at the mode. DecodeError, naming
-    the mode and the coefficient, unless the total time in us, the ops
-    per second and each energy term in uJ are finite: a coefficient
-    that loads may still be too small or too large to print."""
-    cs = coeffs or CoefficientSet()
-    m = cs.mode(mode)
-    EngineConfig(tp=tp)   # rejects a bad tp before check_fit
-    check_fit(net, m.weights_region)
-    p = PLACEMENTS[m.weights_region]
-    f_hz = m.freq_mhz * 1e6
-    if p.link:
-        bits_per_s = cs.hyperram_bits_per_s
-    elif p.marshal:
-        bits_per_s = cs.marshal_bits_per_cycle * f_hz
-    else:
-        bits_per_s = math.inf   # resident parameters: no transfer
-    rep = NetworkReport(net.name, mode, tp)
-    total_s = 0.0
-    for name, ops, bits, cycles in network_profile(net, tp):
-        compute_s = cycles / f_hz
-        transfer_s = bits / bits_per_s
-        if transfer_s > compute_s:
-            bound, sec = "memory", transfer_s
-        else:
-            bound, sec = "compute", compute_s
-        total_s += sec
-        energy = account_energy(ops, bits if p.marshal else 0,
-                                bits if p.link else 0, sec, m, cs)
-        rep.rows.append(LayerRow(name, ops, bits, cycles, compute_s,
-                                 transfer_s, bound, energy))
-    # every total is checked in the units printed; every layer has
-    # cycles, so total_s > 0
-    if not math.isfinite(total_s * 1e6):
-        small = ("freq_mhz" if not math.isfinite(
-                     sum(r.compute_s for r in rep.rows) * 1e6)
-                 else "hyperram_bits_per_s" if p.link
-                 else "marshal_bits_per_cycle")
-        raise DecodeError(f"mode {mode!r}: total time is not finite; "
-                          f"{small} is too small")
-    if not math.isfinite(net.total_ops / total_s):
-        raise DecodeError(f"mode {mode!r}: ops per second are not "
-                          f"finite; freq_mhz is too large")
-    # the energy from the network's totals bounds the sum of the rows'
-    # (all terms are >= 0); the margin covers the rows' rounding
-    bits = net.packed_param_bits
-    e = account_energy(net.total_ops, bits if p.marshal else 0,
-                       bits if p.link else 0, total_s, m, cs)
-    if not math.isfinite(e.total_j * 1e6 * (1 + 1e-9)):
-        terms = {"engine_fj_per_op": e.engine_j,
-                 "local_fj_per_op": e.local_j,
-                 "marshal_pj_per_bit": e.marshal_j,
-                 "hyperram_pj_per_bit": e.dma_j, "leakage_mw": e.leakage_j}
-        raise DecodeError(f"mode {mode!r}: energy is not finite; "
-                          f"{max(terms, key=terms.get)} is too large")
-    return rep
 
 
 def verify_layer(cfg: EngineConfig, spec: LayerSpec,

@@ -21,12 +21,14 @@ IMPORT_NAMES = {"pyyaml": "yaml"}
 @pytest.mark.parametrize("path", MODULES,
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_imported_names_are_used(path):
+    # `from m import name as name` marks an explicit re-export, as in
+    # PEP 484 stubs, and needs no use
     tree = ast.parse(path.read_text())
     imported = {(a.asname or a.name).split(".")[0]
                 for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", None) != "__future__"
-                for a in node.names}
+                for a in node.names if a.asname != a.name}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
 
@@ -63,10 +65,31 @@ def test_imports_are_declared_dependencies():
     assert _imported("tests") <= allowed
 
 
-def test_yaml_is_imported_only_where_yaml_is_read():
-    # a fresh interpreter: the package and its CLI load without yaml
-    code = ("import sys, xnesim, xnesim.cli; "
-            "assert 'yaml' not in sys.modules, 'yaml imported at load'")
+def _fresh(code: str) -> str:
+    """Run *code* in a fresh interpreter that imports the simulator
+    from src/; its stdout, failing on a non-zero exit."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_yaml_is_imported_only_where_yaml_is_read():
+    # the package and its CLI load without yaml
+    _fresh("import sys, xnesim, xnesim.cli; "
+           "assert 'yaml' not in sys.modules, 'yaml imported at load'")
+
+
+def test_analytic_commands_import_no_numpy():
+    # `import xnesim` loads only the numpy-free modules; report over
+    # every network and run net print their rows without numpy
+    out = _fresh(
+        "import sys, xnesim\n"
+        "assert sorted(m for m in sys.modules if 'xnesim' in m) == "
+        "['xnesim', 'xnesim.analytic', 'xnesim.errors'], sys.modules\n"
+        "from xnesim.cli import main\n"
+        "assert main(['report', 'resnet18', 'resnet34', 'mvgg-1', 'mvgg-2',"
+        " 'mvgg-4', 'mvgg-8', 'mvgg-f']) == 0\n"
+        "assert main(['run', 'net', 'resnet34', '--mode', 'hyperram']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    assert out.count("network ") == 8 and "8.72 inference/s" in out

@@ -1,12 +1,18 @@
+import dataclasses
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xnesim.cli import main
 from xnesim.errors import DecodeError, ModeError, RegionError, ShapeError
 from xnesim.memory import (CoefficientSet, Memory, account_energy,
                            load_coefficients, realign)
+from xnesim.networks import get_network
+from xnesim.runner import run_network
 
 
 def test_default_map_sizes():
@@ -248,3 +254,65 @@ def test_load_coefficients_rejects_bad_yaml(tmp_path, text, problem):
     p.write_text(text)
     with pytest.raises(DecodeError, match=problem):
         load_coefficients(str(p))
+
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("hyperram_bits_per_s: 0\n", "hyperram_bits_per_s must be positive"),
+    ("marshal_bits_per_cycle: 1e300\n", "marshal_bits_per_cycle 1e+300 "
+                                         "overflows"),
+], ids=["zero-rate", "marshal-bits-per-s-overflows"])
+def test_load_coefficients_names_the_file(tmp_path, text, problem):
+    # the set checks itself; a load prefixes its message with the path
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    with pytest.raises(DecodeError, match=f"^{re.escape(f'{p}: {problem}')}"):
+        load_coefficients(str(p))
+
+# each escape of a set built in Python, unchecked before: a division by
+# zero, a dropped transfer time (ResNet-34 hyperram read 0.0888 s, not
+# 0.1147 s), a negative leakage (1,593 uJ, not 2,167 uJ), and a nan
+# that the energy check named as hyperram_pj_per_bit
+@pytest.mark.parametrize("key, value", [
+    ("hyperram_bits_per_s", 0.0), ("hyperram_bits_per_s", math.nan),
+    ("hyperram_bits_per_s", -1.0), ("leakage_mw", -5.0),
+    ("leakage_mw", math.nan), ("marshal_bits_per_cycle", 1e300),
+], ids=["rate-zero", "rate-nan", "rate-negative", "leakage-negative",
+        "leakage-nan", "marshal-bits-per-s-overflows"])
+def test_coefficient_set_checks_itself(key, value):
+    with pytest.raises(DecodeError, match=f"^{key} "):
+        CoefficientSet(**{key: value})
+
+
+def test_coefficient_set_modes_are_mode_energies_under_their_names():
+    sram = CoefficientSet().mode("sram-0v6")
+    with pytest.raises(DecodeError, match="mode 'fast' must be a ModeEnergy"):
+        CoefficientSet(modes={"fast": sram})
+    with pytest.raises(DecodeError, match="mode 'x' must be a ModeEnergy"):
+        CoefficientSet(modes={"x": 1.0})
+
+
+def test_coefficient_set_is_immutable():
+    modes = dict(CoefficientSet().modes)
+    cs = CoefficientSet(modes=modes)
+    with pytest.raises(TypeError):
+        cs.modes["sram-0v6"] = cs.mode("scm-0v4")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cs.leakage_mw = 1.0
+    del modes["sram-0v6"]      # the caller's dict is not the set's
+    assert "sram-0v6" in cs.modes
+    with pytest.raises(TypeError):
+        CoefficientSet().modes["new"] = cs.mode("scm-0v4")
+
+
+def test_runs_share_the_default_set(monkeypatch, capsys):
+    # neither run_network nor the CLI builds a set when given none
+    def built(self):
+        raise AssertionError("built a CoefficientSet")
+
+    monkeypatch.setattr(CoefficientSet, "__post_init__", built)
+    rep = run_network(get_network("resnet34"), "hyperram")
+    assert rep.total_seconds == pytest.approx(0.1147, abs=1e-4)
+    assert rep.energy.total_j * 1e6 == pytest.approx(2166.7, abs=0.1)
+    assert main(["report", "mvgg-2"]) == 0
+    capsys.readouterr()

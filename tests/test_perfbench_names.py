@@ -4,11 +4,14 @@ failing here; and one pass of each workload must pass the benchmark's
 own correctness check against reference.json. perfbench's files are
 loaded as they are, not copied."""
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
 
-from xnesim import engine   # the package import loads every module
+import pytest
+
+from xnesim import analytic, engine, golden, memory, networks, runner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,8 +24,52 @@ def _load(name: str):
     return mod
 
 
-def test_tracer_installs_and_restores():
+def _tracing():
+    """perfbench's tracing module, with every module it traces
+    imported: the tracer looks each one up in sys.modules, and
+    `import xnesim` loads none of them."""
     tracing = _load("tracing")
+    for mod_name, _, _ in tracing.TRACED:
+        importlib.import_module(f"xnesim.{mod_name}")
+    return tracing
+
+
+# the names perfbench traces or reads under their old module that are
+# defined in xnesim.analytic: the tracer wraps the object it finds in
+# the old module and rebinds every alias of that same object, so each
+# re-export must be the definition itself
+REEXPORTS = [(golden, "LayerSpec"), (engine, "phase_schedule"),
+             (engine, "PhaseSchedule"), (engine, "VALID_TPS"),
+             (memory, "account_energy"), (memory, "CoefficientSet"),
+             (memory, "PLACEMENTS"), (runner, "run_network"),
+             (runner, "layer_cost"), (runner, "check_fit"),
+             (networks, "get_network")]
+
+
+@pytest.mark.parametrize("module, name", REEXPORTS,
+                         ids=[f"{m.__name__}.{n}" for m, n in REEXPORTS])
+def test_reexport_is_the_definition(module, name):
+    assert getattr(module, name) is getattr(analytic, name)
+
+
+def test_tracer_sees_calls_inside_the_analytic_module():
+    # run_network calls layer_cost, phase_schedule and account_energy
+    # inside xnesim.analytic; the tracer must see each call
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install()
+        runner.run_network(networks.get_network("mvgg-2"), "sram-0v6")
+    finally:
+        assert tracer.uninstall() is True
+    names = {s[0] for s in tracer.spans}
+    assert {"networks.get_network", "networks.make_mvgg",
+            "runner.run_network", "engine.phase_schedule",
+            "memory.account_energy"} <= names
+    assert analytic.phase_schedule is engine.phase_schedule
+
+
+def test_tracer_installs_and_restores():
+    tracing = _tracing()
     original = engine.Engine.__dict__.get("run_next")
     tracer = tracing.Tracer()
     try:
@@ -34,7 +81,7 @@ def test_tracer_installs_and_restores():
 
 
 def test_layer_times_sum_traced_spans():
-    tracing, run = _load("tracing"), _load("run")
+    tracing, run = _tracing(), _load("run")
     traced = {".".join(p for p in entry if p) for entry in tracing.TRACED}
     spans = {s for names in run.LAYER_TIMES.values() for s in names}
     assert sorted(spans - traced) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -10,7 +11,8 @@ from xnesim.bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
                               image_bytes)
 from xnesim.engine import (JOB_OVERHEAD, PHASE_GAP, STREAM_SETUP, VALID_TPS,
                            EngineConfig)
-from xnesim.errors import CapacityError, ModeError, PlanError, ShapeError
+from xnesim.errors import (CapacityError, DecodeError, ModeError, PlanError,
+                           ShapeError)
 from xnesim.golden import LayerSpec, conv_popcounts, random_layer_data
 from xnesim.memory import (FUNCTIONAL, PLACEMENTS, CoefficientSet, Memory,
                            default_memory_map)
@@ -671,10 +673,8 @@ def test_run_network_checks_in_order():
 
 
 def test_check_fit_activation_budget():
-    big = NetworkDescriptor("big", [NetLayer(
-        "conv", LayerSpec(nif=512, nof=512, fs=3, h_out=96, w_out=96))])
     with pytest.raises(CapacityError):
-        check_fit(big, "hyperram")
+        check_fit(_big(), "hyperram")
 
 
 def _dense(nif, nof, w_out=1):
@@ -717,6 +717,80 @@ def test_check_fit_activation_boundary(p):
                 check_fit(net, p.weights_region)
         else:
             check_fit(net, p.weights_region)
+
+
+def _big():
+    return NetworkDescriptor("big", [NetLayer(
+        "conv", LayerSpec(nif=512, nof=512, fs=3, h_out=96, w_out=96))])
+
+
+# every CapacityError message of the seven networks and _big(), per
+# placement, as report prints it in its "(...)" rows
+_PARAMS = ("{}: {} KiB of parameters exceed the {} KiB of {} in the {} "
+           "placement")
+_ACTS = "big: 1176.2 KiB of live activations exceed the 456 KiB of sram + scm"
+FIT_ERRORS = {
+    ("resnet18", "scm"): _PARAMS.format("resnet18", 4409.4, 8, "scm", "scm"),
+    ("resnet18", "sram"): _PARAMS.format("resnet18", 4409.4, 448, "sram",
+                                         "sram"),
+    ("resnet18", "sram_marshal"): _PARAMS.format("resnet18", 4409.4, 448,
+                                                 "sram", "sram_marshal"),
+    ("resnet34", "scm"): _PARAMS.format("resnet34", 5646.1, 8, "scm", "scm"),
+    ("resnet34", "sram"): _PARAMS.format("resnet34", 5646.1, 448, "sram",
+                                         "sram"),
+    ("resnet34", "sram_marshal"): _PARAMS.format("resnet34", 5646.1, 448,
+                                                 "sram", "sram_marshal"),
+    ("mvgg-1", "scm"): _PARAMS.format("mvgg-1", 562.7, 8, "scm", "scm"),
+    ("mvgg-1", "sram"): _PARAMS.format("mvgg-1", 562.7, 448, "sram", "sram"),
+    ("mvgg-1", "sram_marshal"): _PARAMS.format("mvgg-1", 562.7, 448, "sram",
+                                               "sram_marshal"),
+    ("mvgg-2", "scm"): _PARAMS.format("mvgg-2", 283.7, 8, "scm", "scm"),
+    ("mvgg-4", "scm"): _PARAMS.format("mvgg-4", 144.2, 8, "scm", "scm"),
+    ("mvgg-8", "scm"): _PARAMS.format("mvgg-8", 74.4, 8, "scm", "scm"),
+    ("big", "scm"): _PARAMS.format("big", 288.5, 8, "scm", "scm"),
+    ("big", "sram"): _ACTS,
+    ("big", "sram_marshal"): _ACTS,
+    ("big", "hyperram"): _ACTS,
+}
+
+
+def test_descriptors_hold_one_fit_outcome_per_placement():
+    # fixed when built, read-only, and equal at every placement to the
+    # closed-form check of the footprint against the placement's
+    # regions; a refused message is the text report prints
+    for net in [get_network(n) for n in NETWORKS] + [_big()]:
+        assert set(net.fit_errors) == set(PLACEMENTS)
+        for k, p in PLACEMENTS.items():
+            fits = (net.packed_param_bits <= 8 * p.params.size
+                    and net.activation_peak_bytes <= p.activation_bytes)
+            assert (net.fit_errors[k] is None) == fits, (net.name, k)
+            assert net.fit_errors[k] == FIT_ERRORS.get((net.name, k))
+        with pytest.raises(TypeError):
+            net.fit_errors["scm"] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.fit_errors = {}
+
+
+def test_refused_runs_raise_the_stored_message():
+    # the 90 refused calls of the report grid: each raises the message
+    # its descriptor holds, and check_fit formats none of its own
+    refused = 0
+    for n in NETWORKS:
+        net = get_network(n)
+        for mode, m in CoefficientSet().modes.items():
+            want = FIT_ERRORS.get((n, m.weights_region))
+            if want is None:
+                continue
+            for tp in VALID_TPS:
+                with pytest.raises(CapacityError) as info:
+                    run_network(net, mode, tp=tp)
+                assert str(info.value) == want
+                refused += 1
+    assert refused == 90
+    net = _big()
+    for k in PLACEMENTS:
+        with pytest.raises(CapacityError, match=re.escape(net.fit_errors[k])):
+            check_fit(net, k)
 
 
 def test_run_network_bound_flags():
@@ -775,6 +849,55 @@ def test_leakage_term():
     assert sum(r.bound == "memory" for r in rep.rows) == 7
     for r in rep.rows:
         assert r.energy.leakage_j == r.seconds * 2e-3, r.name
+
+
+def _with_mode(mode, **kw):
+    cs = CoefficientSet()
+    return CoefficientSet(
+        modes={**cs.modes, mode: dataclasses.replace(cs.mode(mode), **kw)})
+
+
+# per energy term, a coefficient set whose term alone is not finite in
+# uJ, and a mode and network that charge it
+ENERGY_TERMS = {
+    "engine_fj_per_op": ("sram-0v6", _with_mode("sram-0v6",
+                                                engine_fj_per_op=1e308)),
+    "local_fj_per_op": ("sram-0v6", _with_mode("sram-0v6",
+                                               local_fj_per_op=1e308)),
+    "marshal_pj_per_bit": ("marshal-0v6",
+                           CoefficientSet(marshal_pj_per_bit=1e308)),
+    "hyperram_pj_per_bit": ("hyperram",
+                            CoefficientSet(hyperram_pj_per_bit=1e308)),
+    "leakage_mw": ("sram-0v6", CoefficientSet(leakage_mw=1e308)),
+}
+
+
+@pytest.mark.parametrize("key", ENERGY_TERMS)
+def test_energy_check_names_the_term_that_is_not_finite(key):
+    mode, cs = ENERGY_TERMS[key]
+    with pytest.raises(DecodeError, match=f"mode {mode!r}: energy is not "
+                                          f"finite; {key} is too large"):
+        run_network(get_network("mvgg-2"), mode, coeffs=cs)
+
+
+def test_energy_check_names_the_largest_term_of_a_sum_that_overflows():
+    # ops * (engine + local) overflows while each product does not:
+    # no term alone is infinite, so the larger one is named
+    net = get_network("resnet34")
+    cs = _with_mode("hyperram", engine_fj_per_op=0.8e308 / net.total_ops,
+                    local_fj_per_op=1.2e308 / net.total_ops)
+    with pytest.raises(DecodeError, match="local_fj_per_op is too large"):
+        run_network(net, "hyperram", coeffs=cs)
+
+
+def test_energy_check_names_a_nan_term():
+    # a set cannot be built with a nan, but the key is chosen without
+    # relying on that: a nan leakage set behind the check is named,
+    # where the largest term would have been hyperram_pj_per_bit
+    cs = CoefficientSet()
+    object.__setattr__(cs, "leakage_mw", math.nan)
+    with pytest.raises(DecodeError, match="leakage_mw is too large"):
+        run_network(get_network("resnet34"), "hyperram", coeffs=cs)
 
 
 def _outcome(net, mode, tp):
