@@ -3,10 +3,7 @@ cycle cost of a layer, the memory map and placement, the energy model,
 network descriptors and whole-network runs.
 
 Nothing here imports numpy, so `xnesim report` and `xnesim run net`
-run without it. The functional modules import these names from here
-and re-export them as the same objects: golden.LayerSpec,
-engine.phase_schedule, memory.CoefficientSet, networks.get_network and
-runner.run_network, among others.
+run without it. Every module imports these names from here.
 """
 
 from __future__ import annotations
@@ -68,7 +65,8 @@ class LayerSpec:
         for name in ("nif", "nof", "fs", "h_out", "w_out"):
             _check_dim(name, getattr(self, name))
         if self.d is not None:
-            if not (1 <= self.d <= self.nif):
+            _check_dim("d", self.d)
+            if self.d > self.nif:
                 raise ShapeError(f"band width {self.d} outside [1, {self.nif}]")
             if self.nif % self.d:
                 raise ShapeError(f"band width {self.d} must divide nif={self.nif}")
@@ -250,9 +248,25 @@ FUNCTIONAL = PLACEMENTS["sram"]
 # fetching them over the HyperRAM link.
 
 
+def _mapping(doc, what: str,
+             allowed: tuple[str, ...] | None = None) -> Mapping:
+    """doc itself, if it is a mapping whose keys are all in allowed
+    (any key when allowed is None); DecodeError otherwise."""
+    if not isinstance(doc, Mapping):
+        raise DecodeError(f"{what} must be a mapping, "
+                          f"got {type(doc).__name__}")
+    for k in doc:
+        if allowed is not None and k not in allowed:
+            raise DecodeError(f"unknown key {k!r} in {what}; "
+                              f"expected one of {', '.join(allowed)}")
+    return doc
+
+
 def _check_range(what: str, value: float, positive: bool) -> None:
-    """DecodeError naming *what* unless value is finite and > 0
-    (positive) or >= 0."""
+    """DecodeError naming *what* unless value is a real number, not a
+    bool, and finite and > 0 (positive) or >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DecodeError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise DecodeError(f"{what} must be finite, got {value}")
     if not (value > 0 if positive else value >= 0):
@@ -275,10 +289,10 @@ class ModeEnergy:
 
     Per-op energy splits into the engine datapath and the local memory
     traffic bundled with each op; parameters additionally pay per-bit
-    costs depending on where they live (see CoefficientSet). A
-    non-finite value, a non-positive clock or one that overflows in Hz,
-    a negative energy or a weights_region with no Placement raises
-    DecodeError.
+    costs depending on where they live (see CoefficientSet). A value
+    that is not a real number or not finite, a non-positive clock or
+    one that overflows in Hz, a negative energy or a weights_region
+    with no Placement raises DecodeError.
     """
 
     name: str
@@ -323,10 +337,10 @@ _RATE_KEYS = ("hyperram_bits_per_s", "marshal_bits_per_cycle")
 class CoefficientSet:
     """The operating points by name and the per-bit, transfer and
     leakage coefficients. Frozen, its modes held read-only, and checked
-    when built: DecodeError naming the key unless each mode is a
-    ModeEnergy under its own name, each scalar is finite, each energy
-    is >= 0 and each rate > 0, and the marshalling rate in bits/s of
-    every marshalling mode is finite."""
+    when built: DecodeError naming the key unless modes is a mapping
+    and each mode a ModeEnergy under its own name, each scalar is a
+    finite real number, each energy is >= 0 and each rate > 0, and the
+    marshalling rate in bits/s of every marshalling mode is finite."""
 
     modes: Mapping[str, ModeEnergy] = field(
         default_factory=lambda: _DEFAULT_MODES)
@@ -337,7 +351,7 @@ class CoefficientSet:
     leakage_mw: float = 0.0
 
     def __post_init__(self):
-        modes = dict(self.modes)
+        modes = dict(_mapping(self.modes, "modes"))
         for name, m in modes.items():
             if not (isinstance(m, ModeEnergy) and m.name == name):
                 raise DecodeError(f"mode {name!r} must be a ModeEnergy "
@@ -364,19 +378,6 @@ class CoefficientSet:
 DEFAULT_COEFFICIENTS = CoefficientSet()
 _MODE_KEYS = tuple(f.name for f in dataclasses.fields(ModeEnergy)
                    if f.name != "name")
-
-
-def _mapping(doc, what: str, allowed: tuple[str, ...] | None = None) -> dict:
-    """doc itself, if it is a mapping whose keys are all in allowed
-    (any key when allowed is None); DecodeError otherwise."""
-    if not isinstance(doc, dict):
-        raise DecodeError(f"{what} must be a mapping, "
-                          f"got {type(doc).__name__}")
-    for k in doc:
-        if allowed is not None and k not in allowed:
-            raise DecodeError(f"unknown key {k!r} in {what}; "
-                              f"expected one of {', '.join(allowed)}")
-    return doc
 
 
 def _number(value, what: str) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import _check_dim, image_bytes as image_bytes
-from .bits import WORD_DTYPE, pack_bits, unpack_bits, words_for_bits
+from .analytic import _check_dim, words_for_bits
+from .bits import WORD_DTYPE, pack_bits, unpack_bits
 from .errors import ShapeError
 
 

@@ -52,9 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (JOB_OVERHEAD as JOB_OVERHEAD, PHASE_GAP as PHASE_GAP,
-                       STREAM_SETUP as STREAM_SETUP, VALID_TPS as VALID_TPS,
-                       PhaseSchedule, check_tp, phase_schedule)
+from .analytic import (VALID_TPS as VALID_TPS, PhaseSchedule, check_tp,
+                       phase_schedule as phase_schedule)
 from .bits import pack_bits, unpack_bits
 from .errors import PlanError, ShapeError
 from .golden import SHIFT_MAX, ThresholdSpec

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import LayerSpec
+from .analytic import LayerSpec as LayerSpec
 from .bintensor import BinaryTensor, BinaryWeights
 from .bits import unpack_pm1
 from .errors import DegenerateBatchNorm, PlanError, ShapeError

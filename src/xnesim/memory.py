@@ -2,23 +2,17 @@
 realigner.
 
 The memory map, placement and energy model are defined in
-xnesim.analytic and re-exported here as the same objects. The
-streamer issues word-aligned transactions and realigns byte-offset
-streams on the fly.
+xnesim.analytic. The streamer issues word-aligned transactions and
+realigns byte-offset streams on the fly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analytic import (FUNCTIONAL as FUNCTIONAL, KIB as KIB, MIB as MIB,
-                       PLACEMENTS as PLACEMENTS,
-                       CoefficientSet as CoefficientSet,
-                       EnergyBreakdown as EnergyBreakdown,
-                       ModeEnergy as ModeEnergy, Placement as Placement,
-                       Region, account_energy as account_energy,
-                       default_memory_map,
-                       load_coefficients as load_coefficients)
+from .analytic import (CoefficientSet as CoefficientSet, Region,
+                       account_energy as account_energy,
+                       default_memory_map as default_memory_map)
 from .errors import RegionError, ShapeError
 
 # the map's regions in address order, with their bases and ends: one

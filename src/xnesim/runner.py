@@ -10,7 +10,7 @@ carries that lane's band; remainder tiles are padded to full blocks in
 storage. Thresholds are one byte per lane, TP bytes per output tile.
 
 The analytic network runs (run_network and what it reads) are defined
-in xnesim.analytic and re-exported here as the same objects.
+in xnesim.analytic.
 """
 
 from __future__ import annotations
@@ -19,19 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (FUNCTIONAL, LayerCost, LayerRow as LayerRow,
-                       NetworkReport as NetworkReport,
-                       check_fit as check_fit, image_bytes, layer_cost,
-                       network_profile as network_profile,
-                       run_network as run_network)
+from .analytic import (FUNCTIONAL, LayerCost, LayerSpec, PhaseSchedule,
+                       image_bytes, layer_cost, phase_schedule,
+                       run_network as run_network, words_for_bits)
 from .bintensor import BinaryTensor, BinaryWeights, bit_mismatches
-from .bits import words_for_bits
-from .engine import (Engine, EngineConfig, JobDescriptor, PhaseSchedule,
-                     encode_thresholds, phase_schedule)
+from .engine import Engine, EngineConfig, JobDescriptor, encode_thresholds
 from .errors import CapacityError, ShapeError, XneError
-from .golden import (LayerSpec, ThresholdSpec, check_layer_inputs,
-                     derive_thresholds, layer_golden, random_batchnorm,
-                     random_layer_data)
+from .golden import (ThresholdSpec, check_layer_inputs, derive_thresholds,
+                     layer_golden, random_batchnorm, random_layer_data)
 from .memory import Memory
 from .microcode import JobGeometry
 

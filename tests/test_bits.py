@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xnesim import bits
+from xnesim import analytic, bits
 from xnesim.errors import ShapeError
 
 
@@ -13,7 +13,7 @@ def test_pack_unpack_roundtrip(vals):
     arr = np.array(vals, dtype=np.uint8)
     words = bits.pack_bits(arr)
     assert words.dtype == np.uint32
-    assert len(words) == bits.words_for_bits(len(arr))
+    assert len(words) == analytic.words_for_bits(len(arr))
     back = bits.unpack_bits(words, len(arr))
     assert np.array_equal(back, arr)
 
@@ -43,7 +43,7 @@ def test_pack_unpack_last_axis_equals_per_vector(lead, n, dtype, strided,
     if strided:
         arr = np.moveaxis(np.ascontiguousarray(np.moveaxis(arr, -1, 0)), 0, -1)
     words = bits.pack_bits(arr)
-    nw = bits.words_for_bits(n)
+    nw = analytic.words_for_bits(n)
     assert words.dtype == np.uint32 and words.shape == shape[:-1] + (nw,)
     for idx in np.ndindex(*shape[:-1]):
         vec = [int(b) for b in arr[idx]]

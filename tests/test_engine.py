@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xnesim import engine
-from xnesim.engine import (ACC_MAX, VALID_TPS, Engine, EngineConfig,
-                           JobDescriptor, decode_thresholds,
-                           encode_thresholds, phase_schedule, run_single_job)
+from xnesim.analytic import (VALID_TPS, LayerSpec, default_memory_map,
+                             layer_cost, phase_schedule)
+from xnesim.engine import (ACC_MAX, Engine, EngineConfig, JobDescriptor,
+                           decode_thresholds, encode_thresholds,
+                           run_single_job)
 from xnesim.errors import PlanError, RegionError, ShapeError
-from xnesim.golden import (SHIFT_MAX, TAU_Q_MIN, LayerSpec, ThresholdSpec,
-                           layer_golden, random_layer_data)
-from xnesim.memory import Memory, default_memory_map
+from xnesim.golden import (SHIFT_MAX, TAU_Q_MIN, ThresholdSpec, layer_golden,
+                           random_layer_data)
+from xnesim.memory import Memory
 from xnesim.microcode import (JobGeometry, reference_program, ucode_registers,
                               walk_offsets)
-from xnesim.runner import (execute_layer, layer_cost, load_job, plan_layer,
+from xnesim.runner import (execute_layer, load_job, plan_layer,
                            random_threshold_spec)
 
 

@@ -6,13 +6,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from xnesim import golden
+from xnesim.analytic import LayerSpec
 from xnesim.bintensor import BinaryTensor, BinaryWeights
 from xnesim.errors import DegenerateBatchNorm, PlanError, ShapeError
-from xnesim.golden import (BatchNormParams, LayerSpec, ThresholdSpec,
-                           choose_shift, conv_popcounts, derive_thresholds,
-                           layer_golden, majority_avgpool, or_maxpool,
-                           popcount_thresholds, quantize_thresholds,
-                           real_reference, round_half_up_shift)
+from xnesim.golden import (BatchNormParams, ThresholdSpec, choose_shift,
+                           conv_popcounts, derive_thresholds, layer_golden,
+                           majority_avgpool, or_maxpool, popcount_thresholds,
+                           quantize_thresholds, real_reference,
+                           round_half_up_shift)
 from xnesim.runner import random_threshold_spec
 
 
@@ -312,3 +313,10 @@ def test_layer_spec_properties_and_validation():
         LayerSpec(nif=10, nof=4, fs=1, h_out=1, w_out=1, d=3)  # 3 !| 10
     with pytest.raises(ShapeError):
         LayerSpec(nif=12, nof=5, fs=1, h_out=1, w_out=1, d=3)  # 4 bands !| 5
+
+
+@pytest.mark.parametrize("d", ["2", 2.0], ids=["str", "float"])
+def test_layer_spec_band_width_is_an_integer(d):
+    # a str ended in a TypeError, and 2.0 made groups the float 2.0
+    with pytest.raises(ShapeError, match="^d must be a positive integer"):
+        LayerSpec(nif=4, nof=2, fs=1, h_out=1, w_out=1, d=d)

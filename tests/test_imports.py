@@ -1,6 +1,8 @@
 """Every name a module imports is used in it, so a stale import fails
-tier-1 without a linter; and the packages the code imports are the
-ones pyproject.toml declares."""
+tier-1 without a linter; every analytic name is imported from
+xnesim.analytic, and the only aliases of one are those that perfbench
+and the acceptance test read; and the packages the code imports are
+the ones pyproject.toml declares."""
 
 import ast
 import os
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_perfbench_names import REEXPORTS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/xnesim", "tests", "perfbench")
@@ -31,6 +34,74 @@ def test_imported_names_are_used(path):
                 for a in node.names if a.asname != a.name}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _defined(path: Path) -> set[str]:
+    """Top-level names the module at *path* defines: its classes,
+    functions and assigned names."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+ANALYTIC = _defined(ROOT / "src/xnesim/analytic.py")
+# the modules whose analytic imports are checked: test_acceptance.py
+# pins the old paths as the benchmark reads them, and stays as it is
+ONE_PATH = [p for p in MODULES if p.parent.name != "perfbench"
+            and p.name not in ("analytic.py", "test_acceptance.py")]
+
+
+def _xnesim_module(node: ast.ImportFrom) -> str | None:
+    """The xnesim module a from-import reads, or None for another
+    package; relative imports are the package's own."""
+    if node.level:
+        return ".".join(filter(None, ("xnesim", node.module)))
+    if node.module.split(".")[0] == "xnesim":
+        return node.module
+    return None
+
+
+@pytest.mark.parametrize("path", ONE_PATH,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_analytic_names_have_one_import_path(path):
+    # an analytic name is imported from xnesim.analytic, and read as an
+    # attribute of another xnesim module only where that module keeps
+    # it as an alias (REEXPORTS)
+    tree = ast.parse(path.read_text())
+    kept = {(m.__name__, n) for m, n in REEXPORTS}
+    modules, wrong = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _xnesim_module(node)
+            for a in node.names if source else ():
+                full = f"{source}.{a.name}"
+                if a.name in ANALYTIC and source != "xnesim.analytic":
+                    wrong.append(f"{full} (line {node.lineno})")
+                modules[a.asname or a.name] = full
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in ANALYTIC):
+            source = modules.get(node.value.id)
+            if (source not in (None, "xnesim.analytic")
+                    and (source, node.attr) not in kept):
+                wrong.append(f"{source}.{node.attr} (line {node.lineno})")
+    assert wrong == []
+
+
+def test_aliases_are_the_kept_reexports():
+    # `from .analytic import name as name` marks an alias kept for an
+    # outside reader; REEXPORTS lists them, and no other may exist
+    aliases = {(f"xnesim.{p.stem}", a.name)
+               for p in (ROOT / "src/xnesim").glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level
+               and node.module == "analytic"
+               for a in node.names if a.asname == a.name}
+    assert aliases == {(m.__name__, n) for m, n in REEXPORTS}
 
 
 def _declared(table: str, key: str) -> set[str]:
@@ -60,8 +131,9 @@ def _imported(directory: str) -> set[str]:
 def test_imports_are_declared_dependencies():
     deps = _declared("project", "dependencies")
     assert _imported("src/xnesim") - {"xnesim"} == deps
+    # a test module may import another: REEXPORTS is shared
     allowed = (deps | _declared("project.optional-dependencies", "test")
-               | {"xnesim"})
+               | {"xnesim"} | {p.stem for p in (ROOT / "tests").glob("*.py")})
     assert _imported("tests") <= allowed
 
 

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xnesim.analytic import (CoefficientSet, ModeEnergy, account_energy,
+                             get_network, load_coefficients, run_network)
 from xnesim.cli import main
 from xnesim.errors import DecodeError, ModeError, RegionError, ShapeError
-from xnesim.memory import (CoefficientSet, Memory, account_energy,
-                           load_coefficients, realign)
-from xnesim.networks import get_network
-from xnesim.runner import run_network
+from xnesim.memory import Memory, realign
 
 
 def test_default_map_sizes():
@@ -271,17 +270,26 @@ def test_load_coefficients_names_the_file(tmp_path, text, problem):
 
 # each escape of a set built in Python, unchecked before: a division by
 # zero, a dropped transfer time (ResNet-34 hyperram read 0.0888 s, not
-# 0.1147 s), a negative leakage (1,593 uJ, not 2,167 uJ), and a nan
-# that the energy check named as hyperram_pj_per_bit
+# 0.1147 s), a negative leakage (1,593 uJ, not 2,167 uJ), a nan that
+# the energy check named as hyperram_pj_per_bit, and values of the
+# wrong type, which ended in a TypeError
 @pytest.mark.parametrize("key, value", [
     ("hyperram_bits_per_s", 0.0), ("hyperram_bits_per_s", math.nan),
     ("hyperram_bits_per_s", -1.0), ("leakage_mw", -5.0),
     ("leakage_mw", math.nan), ("marshal_bits_per_cycle", 1e300),
+    ("leakage_mw", "x"), ("leakage_mw", True), ("modes", None),
 ], ids=["rate-zero", "rate-nan", "rate-negative", "leakage-negative",
-        "leakage-nan", "marshal-bits-per-s-overflows"])
+        "leakage-nan", "marshal-bits-per-s-overflows", "leakage-str",
+        "leakage-bool", "modes-none"])
 def test_coefficient_set_checks_itself(key, value):
     with pytest.raises(DecodeError, match=f"^{key} "):
         CoefficientSet(**{key: value})
+
+
+def test_mode_energy_values_are_numbers():
+    with pytest.raises(DecodeError,
+                       match="^mode 'm' engine_fj_per_op must be a number"):
+        ModeEnergy("m", "x", 1.0, 1.0, "scm")
 
 
 def test_coefficient_set_modes_are_mode_energies_under_their_names():

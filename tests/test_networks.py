@@ -2,10 +2,10 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from xnesim.analytic import (MVGG_CHANNELS, LayerSpec, NetLayer,
+                             NetworkDescriptor, get_network, make_mvgg,
+                             make_resnet)
 from xnesim.errors import ShapeError
-from xnesim.golden import LayerSpec
-from xnesim.networks import (MVGG_CHANNELS, NetLayer, NetworkDescriptor,
-                             get_network, make_mvgg, make_resnet)
 
 NETWORKS = ("resnet18", "resnet34", "mvgg-1", "mvgg-2", "mvgg-4", "mvgg-8",
             "mvgg-f")

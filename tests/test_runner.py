@@ -7,22 +7,21 @@ import numpy as np
 import pytest
 
 from xnesim import runner
-from xnesim.bintensor import (BinaryTensor, BinaryWeights, bit_mismatches,
-                              image_bytes)
-from xnesim.engine import (JOB_OVERHEAD, PHASE_GAP, STREAM_SETUP, VALID_TPS,
-                           EngineConfig)
+from xnesim.analytic import (FUNCTIONAL, JOB_OVERHEAD, PHASE_GAP, PLACEMENTS,
+                             STREAM_SETUP, VALID_TPS, CoefficientSet,
+                             LayerSpec, NetLayer, NetworkDescriptor,
+                             check_fit, default_memory_map, get_network,
+                             image_bytes, layer_cost, run_network)
+from xnesim.bintensor import BinaryTensor, BinaryWeights, bit_mismatches
+from xnesim.engine import EngineConfig
 from xnesim.errors import (CapacityError, DecodeError, ModeError, PlanError,
                            ShapeError)
-from xnesim.golden import LayerSpec, conv_popcounts, random_layer_data
-from xnesim.memory import (FUNCTIONAL, PLACEMENTS, CoefficientSet, Memory,
-                           default_memory_map)
+from xnesim.golden import conv_popcounts, layer_golden, random_layer_data
+from xnesim.memory import Memory
 from xnesim.microcode import reference_program, ucode_registers, walk_offsets
-from xnesim.networks import NetLayer, NetworkDescriptor, get_network
-from xnesim.golden import layer_golden
-from xnesim.runner import (check_fit, execute_layer, layer_cost, load_job,
-                           plan_layer, random_threshold_spec, run_network,
-                           threshold_stream_bytes, verify_layer,
-                           verify_layers, weight_stream_words)
+from xnesim.runner import (execute_layer, load_job, plan_layer,
+                           random_threshold_spec, threshold_stream_bytes,
+                           verify_layer, verify_layers, weight_stream_words)
 
 CFG = EngineConfig(tp=128)
 
@@ -898,6 +897,85 @@ def test_energy_check_names_a_nan_term():
     object.__setattr__(cs, "leakage_mw", math.nan)
     with pytest.raises(DecodeError, match="leakage_mw is too large"):
         run_network(get_network("resnet34"), "hyperram", coeffs=cs)
+
+
+# metamorphic checks of the analytic model: a set whose every value is
+# non-zero and differs from its default, priced over the 77 runs of
+# the report grid that fit. Doubling a float is exact, so each check is
+# an exact equality.
+_MODE_KEYS = ("engine_fj_per_op", "local_fj_per_op")
+OWN_TERM = {"engine_fj_per_op": "engine_j", "local_fj_per_op": "local_j",
+            "marshal_pj_per_bit": "marshal_j", "hyperram_pj_per_bit": "dma_j",
+            "leakage_mw": "leakage_j"}
+BASE = CoefficientSet(
+    modes={n: dataclasses.replace(m, engine_fj_per_op=m.engine_fj_per_op + 1,
+                                  local_fj_per_op=m.local_fj_per_op + 3,
+                                  freq_mhz=m.freq_mhz * 1.5)
+           for n, m in CoefficientSet().modes.items()},
+    marshal_pj_per_bit=3.0, hyperram_pj_per_bit=5.0,
+    hyperram_bits_per_s=3e9, marshal_bits_per_cycle=24.0, leakage_mw=2.0)
+
+
+def _doubled(cs, *keys):
+    """cs with each of keys doubled: a ModeEnergy field in every mode,
+    or a scalar of the set."""
+    modes = {n: dataclasses.replace(m, **{k: 2 * getattr(m, k)
+                                          for k in keys if k in _MODE_KEYS})
+             for n, m in cs.modes.items()}
+    return dataclasses.replace(cs, modes=modes, **{
+        k: 2 * getattr(cs, k) for k in keys if k not in _MODE_KEYS})
+
+
+def _fitting_rows(nets, cs):
+    """Per fitting run of nets x cs's modes x VALID_TPS, each row's
+    fields but its energy, and its energy terms."""
+    runs = {}
+    for n, net in nets.items():
+        for mode in cs.modes:
+            for tp in VALID_TPS:
+                try:
+                    rep = run_network(net, mode, tp=tp, coeffs=cs)
+                except (CapacityError, PlanError):
+                    continue
+                runs[n, mode, tp] = [({**vars(r), "energy": None},
+                                      vars(r.energy)) for r in rep.rows]
+    return runs
+
+
+def test_doubling_a_coefficient_scales_exactly_its_own_terms():
+    nets = {n: get_network(n) for n in NETWORKS}
+    base = _fitting_rows(nets, BASE)
+    assert len(base) == 77
+    # row ops and cycles are the same in every mode
+    per_tp = {}
+    for (n, _, tp), rows in base.items():
+        per_tp.setdefault((n, tp), set()).add(
+            tuple((r["name"], r["ops"], r["cycles"]) for r, _ in rows))
+    assert all(len(v) == 1 for v in per_tp.values())
+    # one energy coefficient doubles its own term alone; engine and
+    # local together double compute_j, which is their sum
+    cases = [((k,), {t}) for k, t in OWN_TERM.items()]
+    cases.append((_MODE_KEYS, {"engine_j", "local_j", "compute_j"}))
+    for keys, doubled in cases:
+        changed = doubled | ({"compute_j"} if set(keys) & set(_MODE_KEYS)
+                             else set())
+        runs = _fitting_rows(nets, _doubled(BASE, *keys))
+        for k, rows in base.items():
+            for (r0, e0), (r1, e1) in zip(rows, runs[k]):
+                assert r1 == r0, (keys, k)
+                assert all(e1[t] == 2 * e0[t] for t in doubled), (keys, k)
+                assert all(e1[t] == e0[t] for t in e0 if t not in changed), \
+                    (keys, k)
+    # doubling a rate halves the transfer time of the rows it moves
+    for key, moved in (("hyperram_bits_per_s", "link"),
+                       ("marshal_bits_per_cycle", "marshal")):
+        runs = _fitting_rows(nets, _doubled(BASE, key))
+        for (n, mode, tp), rows in base.items():
+            p = PLACEMENTS[BASE.mode(mode).weights_region]
+            scale = 0.5 if getattr(p, moved) else 1.0
+            for (r0, _), (r1, _) in zip(rows, runs[n, mode, tp]):
+                assert r1["transfer_s"] == r0["transfer_s"] * scale, (key, n)
+                assert r1["compute_s"] == r0["compute_s"], (key, n)
 
 
 def _outcome(net, mode, tp):
