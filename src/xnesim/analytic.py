@@ -262,17 +262,23 @@ def _mapping(doc, what: str,
     return doc
 
 
-def _check_range(what: str, value: float, positive: bool) -> None:
-    """DecodeError naming *what* unless value is a real number, not a
-    bool, and finite and > 0 (positive) or >= 0."""
+def _check_range(what: str, value: float, positive: bool) -> float:
+    """value as a float; DecodeError naming *what* unless value is a
+    real number, not a bool, and finite as a float and > 0 (positive)
+    or >= 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DecodeError(f"{what} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:   # an int too large for a float
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise DecodeError(f"{what} must be finite, got {value}")
     if not (value > 0 if positive else value >= 0):
         raise DecodeError(f"{what} must be "
                           f"{'positive' if positive else 'non-negative'}, "
                           f"got {value}")
+    return value
 
 
 def _check_rate(what: str, value: float, rate: float, unit: str) -> None:
@@ -289,10 +295,11 @@ class ModeEnergy:
 
     Per-op energy splits into the engine datapath and the local memory
     traffic bundled with each op; parameters additionally pay per-bit
-    costs depending on where they live (see CoefficientSet). A value
-    that is not a real number or not finite, a non-positive clock or
-    one that overflows in Hz, a negative energy or a weights_region
-    with no Placement raises DecodeError.
+    costs depending on where they live (see CoefficientSet). A name
+    that is not a string, a value that is not a real number or not
+    finite as a float, a non-positive clock or one that overflows in
+    Hz, a negative energy or a weights_region with no Placement raises
+    DecodeError; the three numbers are kept as floats.
     """
 
     name: str
@@ -302,9 +309,13 @@ class ModeEnergy:
     weights_region: str        # a key of PLACEMENTS
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DecodeError(f"mode name must be a string, got "
+                              f"{self.name!r}")
         for k in ("engine_fj_per_op", "local_fj_per_op", "freq_mhz"):
-            _check_range(f"mode {self.name!r} {k}", getattr(self, k),
-                         positive=k == "freq_mhz")
+            object.__setattr__(self, k, _check_range(
+                f"mode {self.name!r} {k}", getattr(self, k),
+                positive=k == "freq_mhz"))
         _check_rate(f"mode {self.name!r} freq_mhz", self.freq_mhz,
                     self.freq_mhz * 1e6, "the clock in Hz")
         if not (isinstance(self.weights_region, str)
@@ -339,8 +350,9 @@ class CoefficientSet:
     leakage coefficients. Frozen, its modes held read-only, and checked
     when built: DecodeError naming the key unless modes is a mapping
     and each mode a ModeEnergy under its own name, each scalar is a
-    finite real number, each energy is >= 0 and each rate > 0, and the
-    marshalling rate in bits/s of every marshalling mode is finite."""
+    real number finite as a float (and kept as one), each energy is
+    >= 0 and each rate > 0, and the marshalling rate in bits/s of every
+    marshalling mode is finite."""
 
     modes: Mapping[str, ModeEnergy] = field(
         default_factory=lambda: _DEFAULT_MODES)
@@ -358,7 +370,8 @@ class CoefficientSet:
                                   f"named {name!r}, got {m!r}")
         object.__setattr__(self, "modes", MappingProxyType(modes))
         for k in _SCALAR_KEYS:
-            _check_range(k, getattr(self, k), positive=k in _RATE_KEYS)
+            object.__setattr__(self, k, _check_range(
+                k, getattr(self, k), positive=k in _RATE_KEYS))
         for m in modes.values():
             if PLACEMENTS[m.weights_region].marshal:
                 _check_rate("marshal_bits_per_cycle",

@@ -15,13 +15,6 @@ from .analytic import (CoefficientSet as CoefficientSet, Region,
                        default_memory_map as default_memory_map)
 from .errors import RegionError, ShapeError
 
-# the map's regions in address order, with their bases and ends: one
-# searchsorted finds the region of every access of a batch
-_BY_BASE = sorted(default_memory_map(), key=lambda r: r.base)
-_NAMES = [r.name for r in _BY_BASE]
-_BASES = np.array([r.base for r in _BY_BASE])
-_ENDS = np.array([r.base + r.size for r in _BY_BASE])
-
 
 class Memory:
     """Byte-addressable backing store across the regions of
@@ -29,9 +22,11 @@ class Memory:
     buffer is allocated on its first write; bytes never written read as
     zero. Access to an unmapped address raises RegionError.
 
-    gather/gather_words/scatter make many accesses in one call: each
-    access is checked and charged exactly as the one-at-a-time methods
-    would, and RegionError names the first access that fails."""
+    gather/gather_words/scatter make many accesses in one call, all in
+    one region: region_of finds it from the first access, and one
+    bounds test checks every other against it. Each access is charged
+    exactly as the one-at-a-time methods would; RegionError names the
+    first access that fails, and a refused batch charges nothing."""
 
     def __init__(self):
         self.regions = {r.name: r for r in default_memory_map()}
@@ -78,49 +73,38 @@ class Memory:
             raise RegionError(f"word access at unaligned {addr:#x}")
         self.write(addr, np.ascontiguousarray(words, "<u4").view(np.uint8))
 
-    @staticmethod
-    def _locate(addrs: np.ndarray, nbytes) -> np.ndarray:
-        """Per access [addr, addr + nbytes), the index in _NAMES of the
-        region that holds it, from one searchsorted over the sorted
-        region bases; RegionError naming the first access no region
-        holds."""
-        k = np.searchsorted(_BASES, addrs, side="right") - 1
-        bad = np.flatnonzero((k < 0) | (addrs + nbytes > _ENDS[k]))
+    def _batch_region(self, addrs: np.ndarray, nbytes) -> Region:
+        """The region of a non-empty batch of accesses [addrs[i],
+        addrs[i] + nbytes[i]): region_of the first; RegionError naming
+        the first access that region does not hold."""
+        n = np.broadcast_to(nbytes, addrs.shape)
+        r = self.region_of(int(addrs[0]), int(n[0]))
+        bad = np.flatnonzero((addrs < r.base) | (addrs + n > r.base + r.size))
         if len(bad):
             i = bad[0]
-            n = np.broadcast_to(nbytes, addrs.shape)[i]
-            raise RegionError(f"no region holds [{int(addrs[i]):#x}, "
-                              f"+{int(n)})")
-        return k
-
-    def _runs(self, at: np.ndarray) -> list[tuple[Region, int, int]]:
-        """(region, lo, hi) per region that holds any address of the
-        sorted, mapped addresses *at*: it holds at[lo:hi]."""
-        lo = np.searchsorted(at, _BASES).tolist()
-        hi = np.searchsorted(at, _ENDS).tolist()
-        return [(self.regions[r], a, b)
-                for r, a, b in zip(_NAMES, lo, hi) if b > a]
+            raise RegionError(f"[{int(addrs[i]):#x}, +{int(n[i])}) lies "
+                              f"outside {r.name}, the region of the "
+                              f"batch's first access")
+        return r
 
     def gather(self, addrs, nbytes: int, repeat: int = 1
                ) -> tuple[np.ndarray, np.ndarray]:
         """read(a, nbytes), *repeat* times over, for every address a of
         addrs, fetching each distinct address once: (rows, inverse),
         the distinct addresses' bytes as a (k, nbytes) uint8 array and,
-        per access, its row. Each region's rows are read through one
-        strided view of its buffer, row a holding bytes [a, a + nbytes)."""
+        per access, its row. The rows are read through one strided view
+        of the region's buffer, row a holding bytes [a, a + nbytes)."""
         addrs = np.asarray(addrs, dtype=np.int64)
-        k = self._locate(addrs, nbytes)
-        counts = np.bincount(k, minlength=len(_NAMES)).tolist()
-        for r, n in zip(_NAMES, counts):
-            self.traffic[r]["read_bits"] += 8 * nbytes * repeat * n
         uniq, inverse = np.unique(addrs, return_inverse=True)
-        rows = np.zeros((len(uniq), nbytes), dtype=np.uint8)
-        for r, lo, hi in self._runs(uniq):
-            if r.name in self._buf:
-                view = np.ndarray((r.size - nbytes + 1, nbytes), np.uint8,
-                                  self._buf[r.name], 0, (1, 1))
-                rows[lo:hi] = view[uniq[lo:hi] - r.base]
-        return rows, inverse
+        if not len(addrs):
+            return np.zeros((0, nbytes), dtype=np.uint8), inverse
+        r = self._batch_region(addrs, nbytes)
+        self.traffic[r.name]["read_bits"] += 8 * nbytes * repeat * len(addrs)
+        if r.name not in self._buf:
+            return np.zeros((len(uniq), nbytes), dtype=np.uint8), inverse
+        view = np.ndarray((r.size - nbytes + 1, nbytes), np.uint8,
+                          self._buf[r.name], 0, (1, 1))
+        return view[uniq - r.base], inverse
 
     def gather_words(self, addrs, nwords: int, repeat: int = 1
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -142,13 +126,13 @@ class Memory:
         of the writes cannot show and every byte is written at once;
         otherwise each byte keeps its last write."""
         addrs = np.asarray(addrs, dtype=np.int64)
+        if not len(addrs):
+            return
         rows = np.asarray(rows, dtype=np.uint8)
         nbytes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64),
                                  addrs.shape)
-        k = self._locate(addrs, nbytes)
-        written = np.bincount(k, nbytes, len(_NAMES)).tolist()
-        for r, n in zip(_NAMES, written):
-            self.traffic[r]["write_bits"] += 8 * int(n)
+        r = self._batch_region(addrs, nbytes)
+        self.traffic[r.name]["write_bits"] += 8 * int(nbytes.sum())
         order = np.argsort(addrs, kind="stable")
         start = addrs[order]
         disjoint = np.all(start[:-1] + nbytes[order][:-1] <= start[1:])
@@ -163,8 +147,7 @@ class Memory:
             # occurrence is its last write
             at, last = np.unique(at[::-1], return_index=True)
             vals = vals[::-1][last]
-        for r, lo, hi in self._runs(at):
-            self._writable(r)[at[lo:hi] - r.base] = vals[lo:hi]
+        self._writable(r)[at - r.base] = vals
 
 
 # ---------------------------------------------------------------------------

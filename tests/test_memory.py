@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from xnesim.analytic import (CoefficientSet, ModeEnergy, account_energy,
                              get_network, load_coefficients, run_network)
 from xnesim.cli import main
-from xnesim.errors import DecodeError, ModeError, RegionError, ShapeError
+from xnesim.errors import (DecodeError, ModeError, RegionError, ShapeError,
+                           XneError)
 from xnesim.memory import Memory, realign
 
 
@@ -109,19 +111,47 @@ def _scatter_both(addrs, rows, nbytes):
 
 
 def test_gather_and_scatter_across_regions():
-    # accesses alternate between l1 and sram, with scm never written:
-    # each finds its own region, in data and in traffic
+    # a batch in l1 and one in sram each find their own region, in data
+    # and in traffic, a repeat count charging every access that many
+    # times; a never-written scm batch reads zero
     rng = np.random.default_rng(1)
-    l1, sram, scm = (Memory().base(n) for n in ("l1", "sram", "scm"))
-    addrs = np.where(np.arange(30) % 2, l1, sram) + 16 * np.arange(30)
-    rows = rng.integers(0, 256, (30, 16), dtype=np.uint8)
-    many, one = _scatter_both(addrs, rows, rng.integers(1, 17, 30))
-    reads = np.concatenate([addrs[::-1], addrs[:5], [scm, scm + 8]])
-    got, inverse = many.gather_words(reads, 2, 3)
-    want = [one.read_words(a, 2) for a in reads.tolist() for _ in range(3)]
-    assert np.array_equal(np.repeat(got[inverse], 3, axis=0), want)
-    assert not got[inverse][-2:].any()      # never-written scm reads zero
-    assert many.traffic == one.traffic
+    scm = Memory().base("scm")
+    for name in ("l1", "sram"):
+        addrs = Memory().base(name) + 16 * rng.permutation(15)
+        rows = rng.integers(0, 256, (15, 16), dtype=np.uint8)
+        many, one = _scatter_both(addrs, rows, rng.integers(1, 17, 15))
+        reads = np.concatenate([addrs[::-1], addrs[:5]])
+        got, inverse = many.gather_words(reads, 2, 3)
+        want = [one.read_words(a, 2) for a in reads.tolist()
+                for _ in range(3)]
+        assert np.array_equal(np.repeat(got[inverse], 3, axis=0), want)
+        got, inverse = many.gather_words([scm, scm + 8, scm], 2, 3)
+        for a in [scm, scm + 8, scm] * 3:
+            assert not one.read_words(a, 2).any()
+        assert got.shape == (2, 2) and not got[inverse].any()
+        assert many.traffic == one.traffic, name
+
+
+def test_a_batch_across_regions_is_refused():
+    # accesses alternate between l1 and sram: the batch lies in l1, its
+    # first access's region, and the first sram access is named before
+    # anything is charged or written
+    m = Memory()
+    l1, sram = m.base("l1"), m.base("sram")
+    addrs = np.where(np.arange(6) % 2, sram, l1) + 16 * np.arange(6)
+    first = f"{sram + 16:#x}, \\+"
+    with pytest.raises(RegionError, match=first + "16"):
+        m.gather(addrs, 16)
+    with pytest.raises(RegionError, match=first + "8"):
+        m.gather_words(addrs, 2, 3)
+    with pytest.raises(RegionError, match=first + "4"):
+        m.scatter(addrs, np.ones((6, 4), dtype=np.uint8), 4)
+    # an empty batch lies in no region and charges nothing
+    rows, inverse = m.gather_words([], 2)
+    m.scatter([], np.zeros((0, 4), dtype=np.uint8), 4)
+    assert rows.shape == (0, 2) and not len(inverse)
+    assert m.traffic == Memory().traffic
+    assert not m.read(l1, 96).any() and not m.read(sram, 96).any()
 
 
 def test_scatter_disjoint_rows_out_of_address_order():
@@ -278,9 +308,10 @@ def test_load_coefficients_names_the_file(tmp_path, text, problem):
     ("hyperram_bits_per_s", -1.0), ("leakage_mw", -5.0),
     ("leakage_mw", math.nan), ("marshal_bits_per_cycle", 1e300),
     ("leakage_mw", "x"), ("leakage_mw", True), ("modes", None),
+    ("leakage_mw", 10**400),
 ], ids=["rate-zero", "rate-nan", "rate-negative", "leakage-negative",
         "leakage-nan", "marshal-bits-per-s-overflows", "leakage-str",
-        "leakage-bool", "modes-none"])
+        "leakage-bool", "modes-none", "leakage-int-too-large-for-a-float"])
 def test_coefficient_set_checks_itself(key, value):
     with pytest.raises(DecodeError, match=f"^{key} "):
         CoefficientSet(**{key: value})
@@ -290,6 +321,22 @@ def test_mode_energy_values_are_numbers():
     with pytest.raises(DecodeError,
                        match="^mode 'm' engine_fj_per_op must be a number"):
         ModeEnergy("m", "x", 1.0, 1.0, "scm")
+    # a name that is not a string once made ModeError's sorted list of
+    # names end in a TypeError
+    with pytest.raises(DecodeError, match="^mode name must be a string"):
+        ModeEnergy(1, 1.0, 1.0, 1.0, "scm")
+
+
+def test_coefficients_are_kept_as_floats():
+    # an int that fits a float is kept as one, so no sum or product of
+    # coefficients is an int too large for a float: these energies
+    # overflow to inf and are refused, not an OverflowError
+    m = ModeEnergy("m", 10**308, 10**308, 250, "sram")
+    assert type(m.engine_fj_per_op) is type(m.freq_mhz) is float
+    assert type(CoefficientSet(leakage_mw=3).leakage_mw) is float
+    with pytest.raises(DecodeError, match="energy is not finite"):
+        run_network(get_network("mvgg-2"), "m",
+                    coeffs=CoefficientSet(modes={"m": m}))
 
 
 def test_coefficient_set_modes_are_mode_energies_under_their_names():
@@ -311,6 +358,63 @@ def test_coefficient_set_is_immutable():
     assert "sram-0v6" in cs.modes
     with pytest.raises(TypeError):
         CoefficientSet().modes["new"] = cs.mode("scm-0v4")
+
+
+# values a Python caller may give a coefficient: the extremes that
+# escaped the checks before, those that pass them (1e308, -0.0, 1e-306,
+# 1e-320, ints that fit a float), huge ints, bools, strings and None,
+# and any float or int
+_EXTREME = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -0.0, 1e-306,
+                     1e-320, 10**300, 2**1023, 10**400, -10**400, True,
+                     "1.0", None]),
+    st.floats(), st.integers())
+_MODE_FIELDS = [f.name for f in dataclasses.fields(ModeEnergy)]
+_SCALARS = [f.name for f in dataclasses.fields(CoefficientSet)
+            if f.name != "modes"]
+_FUZZ_NETS = [get_network(n) for n in ("resnet34", "mvgg-2", "mvgg-f")]
+
+
+def _one_error_or(call, *args):
+    """call(*args), or None where it raises one XneError, with a
+    one-line message; any other exception fails the test."""
+    try:
+        return call(*args)
+    except XneError as ex:
+        assert len(str(ex).splitlines()) == 1, repr(ex)
+        return None
+
+
+@given(st.dictionaries(st.sampled_from(_SCALARS), _EXTREME, max_size=2),
+       st.dictionaries(
+           st.sampled_from([*CoefficientSet().modes, "new-0v7"]) | _EXTREME,
+           st.dictionaries(st.sampled_from(_MODE_FIELDS),
+                           _EXTREME | st.sampled_from(
+                               ["scm", "sram_marshal", "hyperram"]),
+                           max_size=2), max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_python_coefficients_meet_the_error_contract(scalars, drawn):
+    # a set built in Python from any values raises one XneError, or
+    # prices every run: each run_network call over a few networks x
+    # its modes and an unknown one x tps then raises one XneError or
+    # returns totals that are finite in the units printed (us, ops/s
+    # and uJ). A mode drawn anew starts from sram-0v6's fields
+    def build():
+        modes = dict(CoefficientSet().modes)
+        for name, kw in drawn.items():
+            fields = dataclasses.asdict(modes.get(name, modes["sram-0v6"]))
+            modes[name] = ModeEnergy(**{**fields, "name": name, **kw})
+        return CoefficientSet(modes, **scalars)
+
+    cs = _one_error_or(build)
+    for net, mode, tp in itertools.product(
+            _FUZZ_NETS, [*cs.modes, "unknown"] if cs else (),
+            (32, 128, 512)):
+        rep = _one_error_or(run_network, net, mode, tp, cs)
+        if rep is not None:
+            assert math.isfinite(rep.total_seconds * 1e6)
+            assert math.isfinite(rep.total_ops / rep.total_seconds)
+            assert math.isfinite(rep.energy.total_j * 1e6)
 
 
 def test_runs_share_the_default_set(monkeypatch, capsys):

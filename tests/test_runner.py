@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xnesim import runner
 from xnesim.analytic import (FUNCTIONAL, JOB_OVERHEAD, PHASE_GAP, PLACEMENTS,
@@ -645,6 +646,38 @@ def test_traffic_equals_closed_form_where_layers_fit():
             kinds |= _kinds(spec, tp)
     assert kinds == {"dense", "folded-band", "per-band", "remainder-lane",
                      "npg>1"}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(VALID_TPS))
+@example(222, 32)      # per-band
+@example(214, 256)     # folded-band, npg > 1, remainder lanes
+@example(178, 128)     # dense, remainder lanes
+@example(214, 32)      # PlanError
+@example(311, 512)     # CapacityError
+@settings(max_examples=100, deadline=None)
+def test_every_job_kind_through_memory(seed, tp):
+    # one _grouped_spec shape, of any job kind, at any tp: its output
+    # bits equal golden's, its ops and cycles layer_cost's, and its
+    # traffic per region _traffic's closed form. It raises PlanError
+    # exactly where layer_cost does and CapacityError exactly where
+    # check_buffers does, before it touches memory
+    rng = np.random.default_rng(seed)
+    spec = _grouped_spec(rng)
+    x, w = random_layer_data(rng, spec)
+    thr = random_threshold_spec(rng, spec)
+    mem = Memory()
+    try:
+        cost = layer_cost(spec, tp)
+        cost.check_buffers()
+    except (PlanError, CapacityError) as ex:
+        with pytest.raises(type(ex), match=f"^{re.escape(str(ex))}$"):
+            execute_layer(EngineConfig(tp=tp), spec, x, w, thr, mem=mem)
+        assert mem.traffic == Memory().traffic
+        return
+    run = execute_layer(EngineConfig(tp=tp), spec, x, w, thr, mem=mem)
+    assert bit_mismatches(run.output, layer_golden(x, w, spec, thr)) == 0
+    assert (run.ops, run.cycles) == (cost.ops, cost.cycles)
+    assert mem.traffic == _traffic(spec, tp)
 
 
 # --- analytic network runs ----------------------------------------------
