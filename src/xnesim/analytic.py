@@ -394,34 +394,41 @@ _MODE_KEYS = tuple(f.name for f in dataclasses.fields(ModeEnergy)
 
 
 def _number(value, what: str) -> float:
-    """value as a float; DecodeError naming *what* if it is not a number."""
-    if not isinstance(value, bool):
+    """value if it is a real number, or the float a string spells;
+    DecodeError naming *what* otherwise. The set's own checks range it
+    as a float."""
+    if isinstance(value, str):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
     raise DecodeError(f"{what} must be a number, got {value!r}")
 
 
 def load_coefficients(path: str) -> CoefficientSet:
     """Override the default coefficients from a YAML file (partial
-    updates allowed; a new mode gives every field). Malformed YAML, a
-    document that is not a mapping, an unknown or missing key, a value
-    that is not a number, or a set that CoefficientSet or ModeEnergy
-    rejects raises DecodeError."""
+    updates allowed; a new mode gives every field; an empty document or
+    `modes` keeps the defaults). Malformed YAML, a document or `modes`
+    that is not a mapping, an unknown or missing key, a value that is
+    not a number, or a set that CoefficientSet or ModeEnergy rejects
+    raises DecodeError."""
     import yaml   # imported where YAML is read, not at load
 
     with open(path) as f:
         try:
-            doc = yaml.safe_load(f) or {}
+            doc = yaml.safe_load(f)
         except yaml.YAMLError as ex:
             raise DecodeError(f"{path}: not valid YAML: "
                               f"{' '.join(str(ex).split())}") from None
-    _mapping(doc, str(path), _SCALAR_KEYS + ("modes",))
+    doc = _mapping({} if doc is None else doc, str(path),
+                   _SCALAR_KEYS + ("modes",))
     scalars = {k: _number(doc[k], f"{path}: {k}")
                for k in _SCALAR_KEYS if k in doc}
     modes = dict(DEFAULT_COEFFICIENTS.modes)
-    for name, given in _mapping(doc.get("modes") or {},
+    modes_doc = doc.get("modes")
+    for name, given in _mapping({} if modes_doc is None else modes_doc,
                                 f"{path} modes").items():
         what = f"{path} mode {name!r}"
         _mapping(given, what, _MODE_KEYS)

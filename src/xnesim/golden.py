@@ -177,22 +177,27 @@ def conv_popcounts(x: BinaryTensor, w: BinaryWeights,
 
     Weights hold only the d_eff channels of each output's band. The
     +/-1 sums are one matrix product per tap, batched over the bands.
-    Every partial sum is an integer of magnitude at most n_acc, so
-    float32, exact below 2**24, is exact whenever n_acc < 2**24;
-    larger fields sum in float64, exact below 2**53.
+    Every partial sum is an integer of magnitude at most n_acc, and
+    float32 is exact below 2**24: a field of n_acc >= 2**24 raises
+    ShapeError before anything is unpacked. No layer the engine runs
+    comes near it: one job's weight stream takes n_acc * tp / 8 bytes
+    or more, and the streams fit the sram region.
     """
+    if spec.n_acc >= 2**24:
+        raise ShapeError(f"receptive field of {spec.n_acc} bits: golden "
+                         f"sums in float32, exact only below 2**24")
     check_layer_inputs(x, w, spec)
     g, d, fs = spec.groups, spec.d_eff, spec.fs
     h, wo = spec.h_out, spec.w_out
-    dt = np.float32 if spec.n_acc < 2**24 else np.float64
-    xs = x.to_bits().reshape(g, d, spec.h_in, spec.w_in).astype(dt) * 2 - 1
+    xs = (x.to_bits().reshape(g, d, spec.h_in, spec.w_in)
+          .astype(np.float32) * 2 - 1)
     # each tap's (g, nof/g, d) weight block is made +/-1 inside the
     # loop, by one table lookup of its packed bytes
-    s = np.zeros((g, spec.nof // g, h * wo), dtype=dt)
+    s = np.zeros((g, spec.nof // g, h * wo), dtype=np.float32)
     for fi in range(fs):
         for fj in range(fs):
             win = xs[:, :, fi:fi + h, fj:fj + wo].reshape(g, d, h * wo)
-            wt = unpack_pm1(w.words[:, fi, fj], d).astype(dt, copy=False)
+            wt = unpack_pm1(w.words[:, fi, fj], d)
             s += wt.reshape(g, spec.nof // g, d) @ win
     return (s.reshape(spec.nof, h, wo).astype(np.int64) + spec.n_acc) // 2
 

@@ -203,9 +203,12 @@ def disassemble(data: bytes,
 # YAML source format
 
 
-def _expect(value, kind: type, what: str):
-    """value if it is a kind; UcodeSyntaxError naming *what* otherwise.
-    A YAML boolean is not an integer here, though Python's bool is."""
+def _expect(value, kind: type, what: str, optional: bool = False):
+    """value if it is a kind, or an empty kind if optional and value is
+    None; UcodeSyntaxError naming *what* otherwise. A YAML boolean is
+    not an integer here, though Python's bool is."""
+    if optional and value is None:
+        return kind()
     if not isinstance(value, kind) or isinstance(value, bool):
         a_kind = {dict: "a mapping", list: "a list", int: "an integer"}[kind]
         raise UcodeSyntaxError(f"{what} must be {a_kind}, got {value!r}")
@@ -218,8 +221,9 @@ def parse_program(text: str) -> MicrocodeProgram:
     Keys: optional `mnemonics` (extra register name -> index), `code`
     (list of {name, op, dst, src}), `loops` (innermost first, each
     {range, instructions: [names]}; the names must form a contiguous
-    run of the code list). A field of the wrong kind or a missing one
-    raises UcodeSyntaxError naming it.
+    run of the code list). An optional key given no value is empty; a
+    field of the wrong kind or a missing one raises UcodeSyntaxError
+    naming it.
     """
     import yaml   # imported where YAML is read or written, not at load
 
@@ -230,8 +234,8 @@ def parse_program(text: str) -> MicrocodeProgram:
     if not isinstance(doc, dict) or "code" not in doc:
         raise UcodeSyntaxError("program source needs a `code` list")
     names = dict(REG_NAMES)
-    for k, v in _expect(doc.get("mnemonics") or {}, dict,
-                        "mnemonics").items():
+    for k, v in _expect(doc.get("mnemonics"), dict, "mnemonics",
+                        optional=True).items():
         names[str(k)] = _expect(v, int, f"mnemonics {k!r}")
 
     def reg(tok) -> int:
@@ -268,10 +272,11 @@ def parse_program(text: str) -> MicrocodeProgram:
         instrs.append(MicroInstruction(op, dst, reg(row["src"]), label))
 
     loops = []
-    for li, row in enumerate(_expect(doc.get("loops") or [], list, "loops")):
+    for li, row in enumerate(_expect(doc.get("loops"), list, "loops",
+                                     optional=True)):
         fields(row, f"loops[{li}]", ("range",))
-        body = _expect(row.get("instructions") or [], list,
-                       f"loops[{li}] instructions")
+        body = _expect(row.get("instructions"), list,
+                       f"loops[{li}] instructions", optional=True)
         if not body:
             raise UcodeSyntaxError(f"loops[{li}] has an empty body")
         pos = [label_pos.get(str(n)) for n in body]

@@ -1,13 +1,19 @@
+import io
 import re
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xnesim import cli, runner
 from xnesim.bintensor import BinaryTensor
+from xnesim.analytic import _MODE_KEYS, _SCALAR_KEYS, DEFAULT_COEFFICIENTS
 from xnesim.cli import build_parser, main
-from xnesim.microcode import reference_program
+from xnesim.microcode import (REG_NAMES, RO_NAMES, RW_NAMES,
+                              reference_program)
 
 REF_HEX = reference_program().assemble().hex()
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -314,3 +320,213 @@ def test_non_finite_coefficient_is_an_error(text, key, mode, tmp_path,
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
         assert err.count("\n") == 1 and key in err, err
+
+
+
+
+# --- the error contract, fuzzed ------------------------------------------
+
+# YAML values the contract must meet: non-finite, huge finite (a
+# 1.7e302 clock and 1e308 energies pass the load), tiny, falsy values
+# of every kind, ints too large for a float, and any float or int
+_BIG = "1" + "0" * 400
+_FALSY = st.sampled_from(["0", "-0.0", "false", "''", "[]", "{}", "null"])
+_YAML_VALUE = st.one_of(
+    st.sampled_from([".inf", "-.inf", ".nan", "1e308", "1.7e302", "1e-306",
+                     "1e-320"]), _FALSY,
+    (st.integers(2**1024, 2**1400) | st.integers(-2**1400, -2**1024)).map(
+        str),
+    st.floats().map(repr) | st.integers().map(str))
+# where a mapping or a list belongs, falsy values of the wrong kind
+# are drawn more often
+_CONTAINER = _FALSY | _YAML_VALUE
+_TP = st.sampled_from(["32", "64", "128", "256", "512"]) | st.sampled_from(
+    ["0", "-1", "33", _BIG])
+_MODES = [*DEFAULT_COEFFICIENTS.modes, "new-0v7"]
+_COEFFICIENT_SLOTS = st.sets(st.sampled_from(
+    ["document", "modes", "mode", *_SCALAR_KEYS, *_MODE_KEYS]),
+    min_size=1, max_size=2)
+_REGION_VALUE = _YAML_VALUE | st.sampled_from(
+    ["scm", "sram_marshal", "hyperram"])
+_CODE = st.lists(st.tuples(st.sampled_from(["add", "mv"]),
+                           st.sampled_from([*RW_NAMES]),
+                           st.sampled_from([*REG_NAMES])), max_size=8)
+_LOOPS = st.lists(st.tuples(st.sampled_from([*RO_NAMES]), st.integers(1, 3)),
+                  max_size=3)
+_UCODE_SLOTS = st.sets(st.sampled_from(
+    ["code", "loops", "mnemonics", "row", "stride"]), max_size=2)
+_ROW_KEY = st.sampled_from(["op", "dst", "src"])
+_BAD_CELL = _YAML_VALUE | st.sampled_from(["sub", "20", "nothere"])
+_DIM = st.integers(1, 40).map(str) | st.sampled_from(
+    ["0", "-1", "2147483648", _BIG, "x"])
+_PIXELS = st.integers(1, 3).map(str) | st.sampled_from(["0", _BIG])
+
+
+def _yaml(value) -> str:
+    """value in YAML's flow style: dicts and lists of YAML text."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_yaml(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_yaml, value)) + "]"
+    return str(value)
+
+
+def _document(doc: dict) -> bytes:
+    return "".join(f"{k}: {_yaml(v)}\n" for k, v in doc.items()).encode()
+
+
+def _wrong_kind(value, empty: str, optional: bool) -> bool:
+    """Whether value, YAML text from _YAML_VALUE where a mapping ({})
+    or a list ([]) belongs, is of another kind. A null is the empty
+    value only where the field is optional."""
+    return isinstance(value, str) and value not in (
+        {empty, "null"} if optional else {empty})
+
+
+@st.composite
+def _coefficient_yaml(draw) -> tuple[bytes, bool]:
+    """A coefficient document that overrides one mode with valid
+    fields, then holds YAML values in one or two slots: the document,
+    `modes`, the mode, a scalar or a field of the mode; and whether a
+    value of the wrong kind stands where a mapping belongs."""
+    slots = draw(_COEFFICIENT_SLOTS)
+    if "document" in slots:
+        value = draw(_CONTAINER | st.just(""))
+        return value.encode(), _wrong_kind(value or "null", "{}", True)
+    name = draw(st.sampled_from(_MODES))
+    mode = {"engine_fj_per_op": 10.0, "local_fj_per_op": 20.0,
+            "freq_mhz": 100.0, "weights_region": "sram"}
+    doc = {"modes": {name: mode}}
+    for slot in sorted(slots):
+        if slot in ("modes", "mode"):
+            value = draw(_CONTAINER)
+            if slot == "modes":
+                doc["modes"] = value
+            elif isinstance(doc["modes"], dict):
+                doc["modes"][name] = value
+        elif slot in _MODE_KEYS:
+            mode[slot] = draw(_REGION_VALUE if slot == "weights_region"
+                              else _YAML_VALUE)
+        else:
+            doc[slot] = draw(_YAML_VALUE)
+    modes = doc["modes"]
+    return _document(doc), (_wrong_kind(modes, "{}", True) or (
+        isinstance(modes, dict) and _wrong_kind(modes[name], "{}", False)))
+
+
+@st.composite
+def _ucode_yaml(draw) -> tuple[bytes, bool]:
+    """A program source: code rows i0, i1, ... over register names,
+    loops over runs of those names, and mnemonics. Then up to two of
+    code, loops, mnemonics, one row's op, dst or src, and the mnemonic's
+    value are YAML values; and whether code, loops or mnemonics is of
+    the wrong kind."""
+    code = [{"name": f"i{i}", "op": op, "dst": dst, "src": src}
+            for i, (op, dst, src) in enumerate(draw(_CODE))]
+    loops, start = [], 0        # innermost first, on consecutive runs
+    for r, n in draw(_LOOPS):
+        if start + n > len(code):
+            break
+        loops.append({"range": r, "instructions": [
+            f"i{k}" for k in range(start, start + n)]})
+        start += n
+    stride = {"stride": 8}
+    doc = {"code": code, "loops": loops, "mnemonics": stride}
+    for where in draw(_UCODE_SLOTS):
+        if where in doc:
+            doc[where] = draw(_CONTAINER)
+        elif where == "stride":
+            stride["stride"] = draw(_YAML_VALUE)
+        elif code:
+            row = code[draw(st.integers(0, 7)) % len(code)]
+            row[draw(_ROW_KEY)] = draw(_BAD_CELL)
+    return _document(doc), (_wrong_kind(doc["code"], "[]", False)
+                            or _wrong_kind(doc["loops"], "[]", True)
+                            or _wrong_kind(doc["mnemonics"], "{}", True))
+
+
+_KIND = st.sampled_from(["coefficients", "microcode"] * 2
+                        + ["bitstream", "geometry"])
+_DIS_PATCHES = st.lists(st.tuples(st.integers(0, 27), st.integers(0, 255)))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, the bytes of the file argv names as FILE or None, whether
+    the input holds a value of the wrong kind)."""
+    kind = draw(_KIND)
+    if kind == "coefficients":
+        net = draw(st.sampled_from(["mvgg-2", "resnet34", "mvgg-f"]))
+        mode = draw(st.sampled_from(_MODES))
+        argv = draw(st.sampled_from([
+            ["report", net], ["report", net, "--modes", mode],
+            ["run", "net", net, "--mode", mode]]))
+        return (argv + ["--tp", draw(_TP), "--config", "FILE"],
+                *draw(_coefficient_yaml()))
+    if kind == "microcode":
+        return ["ucode", "asm", "FILE"], *draw(_ucode_yaml())
+    if kind == "bitstream":
+        blob = bytearray(bytes.fromhex(REF_HEX))
+        for at, value in draw(_DIS_PATCHES):
+            blob[at] = value
+        return ["ucode", "dis", "FILE"], bytes(blob), False
+    d = draw(st.none() | _DIM)
+    return (["run", "layer", "--nif", draw(_DIM), "--nof", draw(_DIM),
+             "--fs", draw(st.sampled_from(["1", "3", "0", _BIG])),
+             "--h", draw(_PIXELS), "--w", draw(_PIXELS)]
+            + ([] if d is None else ["--d", d])
+            + ["--tp", draw(_TP),
+               "--seed", draw(st.sampled_from(["0", "7", "-1", _BIG]))],
+            None, False)
+
+
+_PARSER = build_parser()
+
+
+def _main(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr; argparse's usage
+    errors exit 2. Every call shares one parser, as building one takes
+    longer than most runs."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(cli, "build_parser", lambda: _PARSER),
+          redirect_stdout(out), redirect_stderr(err)):
+        try:
+            rc = main(argv)
+        except SystemExit as ex:
+            rc = ex.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@given(_cli_runs())
+@settings(max_examples=100, deadline=None)
+def test_cli_meets_the_error_contract(tmp_path_factory, run):
+    # every run exits 0, 2, 3, 4 or 5, and 3 where a value of the wrong
+    # kind stands for a mapping or a list; a failed run prints exactly
+    # one error: line, and a failed report nothing on stdout. Bytes
+    # that ucode asm gives disassemble, and bytes that ucode dis lists
+    # assemble from the listing to the same bytes
+    argv, data, wrong_kind = run
+    path = tmp_path_factory.getbasetemp() / "cli-fuzz-input"
+    if data is not None:
+        path.write_bytes(data)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = _main(argv)
+    assert rc in (0, 2, 3, 4, 5), (argv, rc, err)
+    assert rc == 3 or not wrong_kind, (argv, rc, data)
+    if rc == 0:
+        assert err == "", (argv, err)
+    elif rc == 2:       # argparse: usage, then one "prog: error:" line
+        assert sum("error:" in l for l in err.splitlines()) == 1, err
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert argv[0] != "report" or out == "", (argv, out)
+    if rc == 0 and argv[:2] == ["ucode", "asm"]:
+        data = bytes.fromhex(out.strip())
+        path.write_bytes(data)
+        rc, out, err = _main(["ucode", "dis", str(path)])
+        assert rc == 0, err
+    if rc == 0 and argv[0] == "ucode":
+        path.write_text(out)
+        assert _main(["ucode", "asm", str(path)]) == (0, data.hex() + "\n",
+                                                      "")

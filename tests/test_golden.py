@@ -135,6 +135,24 @@ def test_popcount_range():
     assert np.all(conv_popcounts(ones, wzero, spec) == 0)
 
 
+def test_conv_popcounts_refuses_fields_float32_cannot_sum(monkeypatch):
+    # zero tensors of 2**24 channels at 1x1 (2 MB each, packed) are
+    # refused before a bit is unpacked; one channel fewer is unpacked
+    def unpacked(self):
+        raise AssertionError("unpacked")
+
+    def popcounts(nif):
+        spec = LayerSpec(nif=nif, nof=1, fs=1, h_out=1, w_out=1)
+        return conv_popcounts(BinaryTensor(nif, 1, 1),
+                              BinaryWeights(1, nif, 1), spec)
+
+    monkeypatch.setattr(BinaryTensor, "to_bits", unpacked)
+    with pytest.raises(ShapeError, match=r"below 2\*\*24$"):
+        popcounts(2**24)
+    with pytest.raises(AssertionError, match="unpacked"):
+        popcounts(2**24 - 1)
+
+
 @given(st.integers(1, 2000), st.data())
 @settings(max_examples=120)
 def test_threshold_fold_matches_real_sign(n_acc, data):

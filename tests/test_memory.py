@@ -275,14 +275,38 @@ def test_load_coefficients_partial_override(tmp_path):
      "weights_region 'dram' is not one of"),
     ("modes:\n  scm-0v4: {freq_mhz: -5}\n", "freq_mhz must be positive"),
     ("hyperram_bits_per_s: 0\n", "hyperram_bits_per_s must be positive"),
+    # ints too large for a float once ended in an OverflowError
+    (f"hyperram_bits_per_s: 1{'0' * 400}\n",
+     "hyperram_bits_per_s must be finite, got inf"),
+    (f"modes:\n  sram-0v6: {{freq_mhz: 1{'0' * 400}}}\n",
+     "'sram-0v6' freq_mhz must be finite, got inf"),
+    # falsy values of the wrong kind were once read as empty
+    ("0\n", "must be a mapping, got int"),
+    ("false\n", "must be a mapping, got bool"),
+    ("[]\n", "must be a mapping, got list"),
+    ("''\n", "must be a mapping, got str"),
+    ("modes: 0\n", "modes must be a mapping, got int"),
+    ("modes: []\n", "modes must be a mapping, got list"),
+    ("modes: false\n", "modes must be a mapping, got bool"),
 ], ids=["not-a-mapping", "unknown-key", "unknown-mode-field", "null-value",
         "not-a-number", "new-mode-partial", "unknown-region",
-        "negative-freq", "zero-rate"])
+        "negative-freq", "zero-rate", "rate-int-too-large-for-a-float",
+        "freq-int-too-large-for-a-float", "doc-zero", "doc-false",
+        "doc-empty-list", "doc-empty-string", "modes-zero",
+        "modes-empty-list", "modes-false"])
 def test_load_coefficients_rejects_bad_yaml(tmp_path, text, problem):
     p = tmp_path / "c.yaml"
     p.write_text(text)
     with pytest.raises(DecodeError, match=problem):
         load_coefficients(str(p))
+
+
+@pytest.mark.parametrize("text", ["", "{}\n", "modes:\n"],
+                         ids=["empty-file", "empty-mapping", "modes-null"])
+def test_load_coefficients_reads_empty_as_the_defaults(tmp_path, text):
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    assert load_coefficients(str(p)) == CoefficientSet()
 
 
 

@@ -343,9 +343,17 @@ def test_yaml_parse_errors():
     ("code: [{op: add, dst: true, src: tp}]\n", r"unknown register True"),
     ("code: [{op: add, dst: tp, src: tp}]\n",
      r"code\[0\]: destination must be a pointer register"),
+    # falsy values of the wrong kind once assembled as empty
+    ("code: []\nloops: 0\n", r"loops must be a list, got 0"),
+    ("code: []\nloops: {}\n", r"loops must be a list, got \{\}"),
+    ("code: []\nmnemonics: 0\n", r"mnemonics must be a mapping, got 0"),
+    ("code: []\nmnemonics: []\n", r"mnemonics must be a mapping, got \[\]"),
+    ("code: []\nmnemonics: false\n",
+     r"mnemonics must be a mapping, got False"),
 ], ids=["code-not-list", "row-not-mapping", "mnemonics-not-mapping",
         "missing-src", "loop-body-not-list", "bool-mnemonic", "bool-dst",
-        "ro-dst"])
+        "ro-dst", "loops-zero", "loops-empty-mapping", "mnemonics-zero",
+        "mnemonics-empty-list", "mnemonics-false"])
 def test_yaml_malformed_fields(text, problem):
     with pytest.raises(UcodeSyntaxError, match=problem):
         parse_program(text)
