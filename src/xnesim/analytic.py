@@ -17,7 +17,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .errors import (CapacityError, DecodeError, ModeError, PlanError,
-                     ShapeError)
+                     ShapeError, expect, parse_yaml, read_file)
 
 # ---------------------------------------------------------------------------
 # Layer geometry
@@ -248,20 +248,6 @@ FUNCTIONAL = PLACEMENTS["sram"]
 # fetching them over the HyperRAM link.
 
 
-def _mapping(doc, what: str,
-             allowed: tuple[str, ...] | None = None) -> Mapping:
-    """doc itself, if it is a mapping whose keys are all in allowed
-    (any key when allowed is None); DecodeError otherwise."""
-    if not isinstance(doc, Mapping):
-        raise DecodeError(f"{what} must be a mapping, "
-                          f"got {type(doc).__name__}")
-    for k in doc:
-        if allowed is not None and k not in allowed:
-            raise DecodeError(f"unknown key {k!r} in {what}; "
-                              f"expected one of {', '.join(allowed)}")
-    return doc
-
-
 def _check_range(what: str, value: float, positive: bool) -> float:
     """value as a float; DecodeError naming *what* unless value is a
     real number, not a bool, and finite as a float and > 0 (positive)
@@ -309,9 +295,7 @@ class ModeEnergy:
     weights_region: str        # a key of PLACEMENTS
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise DecodeError(f"mode name must be a string, got "
-                              f"{self.name!r}")
+        expect(self.name, str, "mode name", DecodeError)
         for k in ("engine_fj_per_op", "local_fj_per_op", "freq_mhz"):
             object.__setattr__(self, k, _check_range(
                 f"mode {self.name!r} {k}", getattr(self, k),
@@ -363,7 +347,7 @@ class CoefficientSet:
     leakage_mw: float = 0.0
 
     def __post_init__(self):
-        modes = dict(_mapping(self.modes, "modes"))
+        modes = dict(expect(self.modes, Mapping, "modes", DecodeError))
         for name, m in modes.items():
             if not (isinstance(m, ModeEnergy) and m.name == name):
                 raise DecodeError(f"mode {name!r} must be a ModeEnergy "
@@ -393,57 +377,38 @@ _MODE_KEYS = tuple(f.name for f in dataclasses.fields(ModeEnergy)
                    if f.name != "name")
 
 
-def _number(value, what: str) -> float:
-    """value if it is a real number, or the float a string spells;
-    DecodeError naming *what* otherwise. The set's own checks range it
-    as a float."""
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+def _number(value):
+    """The float a string spells (PyYAML reads 1e400 as a string), or
+    value itself: the set's own checks refuse what is not a number."""
+    try:
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
         return value
-    raise DecodeError(f"{what} must be a number, got {value!r}")
 
 
 def load_coefficients(path: str) -> CoefficientSet:
     """Override the default coefficients from a YAML file (partial
     updates allowed; a new mode gives every field; an empty document or
-    `modes` keeps the defaults). Malformed YAML, a document or `modes`
-    that is not a mapping, an unknown or missing key, a value that is
-    not a number, or a set that CoefficientSet or ModeEnergy rejects
-    raises DecodeError."""
-    import yaml   # imported where YAML is read, not at load
+    `modes` keeps the defaults). A document or `modes` that is not a
+    mapping, an unknown or missing key, or a set that CoefficientSet or
+    ModeEnergy rejects raises DecodeError, as read_file words it."""
+    return read_file(path, _coefficients, DecodeError)
 
-    with open(path) as f:
-        try:
-            doc = yaml.safe_load(f)
-        except yaml.YAMLError as ex:
-            raise DecodeError(f"{path}: not valid YAML: "
-                              f"{' '.join(str(ex).split())}") from None
-    doc = _mapping({} if doc is None else doc, str(path),
-                   _SCALAR_KEYS + ("modes",))
-    scalars = {k: _number(doc[k], f"{path}: {k}")
-               for k in _SCALAR_KEYS if k in doc}
+
+def _coefficients(data: bytes) -> CoefficientSet:
+    doc = expect(parse_yaml(data, DecodeError), Mapping, "the document",
+                 DecodeError, optional=True, keys=_SCALAR_KEYS + ("modes",))
+    scalars = {k: _number(doc[k]) for k in _SCALAR_KEYS if k in doc}
     modes = dict(DEFAULT_COEFFICIENTS.modes)
-    modes_doc = doc.get("modes")
-    for name, given in _mapping({} if modes_doc is None else modes_doc,
-                                f"{path} modes").items():
-        what = f"{path} mode {name!r}"
-        _mapping(given, what, _MODE_KEYS)
-        missing = [k for k in _MODE_KEYS if k not in given]
-        if name not in modes and missing:
-            raise DecodeError(f"{what} is new and must give "
-                              f"{', '.join(missing)}")
-        kw = {k: (v if k == "weights_region" else _number(v, f"{what} {k}"))
+    for name, given in expect(doc.get("modes"), Mapping, "modes",
+                              DecodeError, optional=True).items():
+        expect(given, Mapping, f"mode {name!r}", DecodeError, keys=_MODE_KEYS,
+               needs=() if name in modes else _MODE_KEYS)
+        kw = {k: (v if k == "weights_region" else _number(v))
               for k, v in given.items()}
         modes[name] = (replace(modes[name], **kw) if name in modes
                        else ModeEnergy(name, **kw))
-    try:
-        return replace(DEFAULT_COEFFICIENTS, modes=modes, **scalars)
-    except DecodeError as ex:
-        raise DecodeError(f"{path}: {ex}") from None
+    return replace(DEFAULT_COEFFICIENTS, modes=modes, **scalars)
 
 
 @dataclass

@@ -16,9 +16,8 @@ Exit codes: 0 ok, 2 usage, 3 parse/decode or other input error,
 4 does not fit (capacity, planning or memory-region error),
 5 verification mismatch.
 
-`run net` and `report` read only xnesim.analytic and import no numpy;
-`run layer`, `verify` and `ucode` import the functional modules when
-they run.
+`run net`, `report` and `ucode` import no numpy; `run layer` and
+`verify` import the functional modules when they run.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ import sys
 
 from .analytic import (DEFAULT_COEFFICIENTS, CoefficientSet, LayerSpec,
                        get_network, load_coefficients, run_network)
-from .errors import CapacityError, PlanError, RegionError, XneError
+from .errors import (CapacityError, PlanError, RegionError, UcodeSyntaxError,
+                     XneError, read_file)
 
 EXIT_PARSE = 3
 EXIT_CAPACITY = 4
@@ -59,9 +59,7 @@ def _emit(args, text: str) -> None:
 def cmd_ucode_asm(args) -> int:
     from .microcode import parse_program
 
-    with open(args.input) as f:
-        prog = parse_program(f.read())
-    blob = prog.assemble()
+    blob = read_file(args.input, parse_program, UcodeSyntaxError).assemble()
     if args.output:
         with open(args.output, "wb") as f:
             f.write(blob)
@@ -80,9 +78,8 @@ def cmd_ucode_ref(args) -> int:
 def cmd_ucode_dis(args) -> int:
     from .microcode import disassemble, program_to_yaml
 
-    with open(args.input, "rb") as f:
-        data = f.read()
-    _emit(args, program_to_yaml(disassemble(data)))
+    prog = read_file(args.input, disassemble, UcodeSyntaxError)
+    _emit(args, program_to_yaml(prog))
     return 0
 
 

@@ -26,12 +26,13 @@ All pointer values are bit offsets into the streamer's address space.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
+from .errors import UcodeSyntaxError, expect, parse_yaml
 
-from .errors import UcodeSyntaxError
+# only the walk imports numpy, inside its functions: the codec needs none
 
 MAX_INSTRUCTIONS = 22
 MAX_LOOPS = 6
@@ -203,19 +204,7 @@ def disassemble(data: bytes,
 # YAML source format
 
 
-def _expect(value, kind: type, what: str, optional: bool = False):
-    """value if it is a kind, or an empty kind if optional and value is
-    None; UcodeSyntaxError naming *what* otherwise. A YAML boolean is
-    not an integer here, though Python's bool is."""
-    if optional and value is None:
-        return kind()
-    if not isinstance(value, kind) or isinstance(value, bool):
-        a_kind = {dict: "a mapping", list: "a list", int: "an integer"}[kind]
-        raise UcodeSyntaxError(f"{what} must be {a_kind}, got {value!r}")
-    return value
-
-
-def parse_program(text: str) -> MicrocodeProgram:
+def parse_program(source: bytes | str) -> MicrocodeProgram:
     """Load a program from its YAML source.
 
     Keys: optional `mnemonics` (extra register name -> index), `code`
@@ -225,18 +214,12 @@ def parse_program(text: str) -> MicrocodeProgram:
     field of the wrong kind or a missing one raises UcodeSyntaxError
     naming it.
     """
-    import yaml   # imported where YAML is read or written, not at load
-
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        raise UcodeSyntaxError(f"not valid YAML: {e}") from e
-    if not isinstance(doc, dict) or "code" not in doc:
-        raise UcodeSyntaxError("program source needs a `code` list")
+    doc = expect(parse_yaml(source, UcodeSyntaxError), Mapping,
+                 "program source", UcodeSyntaxError, needs=("code",))
     names = dict(REG_NAMES)
-    for k, v in _expect(doc.get("mnemonics"), dict, "mnemonics",
-                        optional=True).items():
-        names[str(k)] = _expect(v, int, f"mnemonics {k!r}")
+    for k, v in expect(doc.get("mnemonics"), Mapping, "mnemonics",
+                       UcodeSyntaxError, optional=True).items():
+        names[str(k)] = expect(v, int, f"mnemonics {k!r}", UcodeSyntaxError)
 
     def reg(tok) -> int:
         is_index = isinstance(tok, int) and not isinstance(tok, bool)
@@ -247,15 +230,12 @@ def parse_program(text: str) -> MicrocodeProgram:
             raise UcodeSyntaxError(f"register index {idx} out of range")
         return idx
 
-    def fields(row, what: str, keys: tuple[str, ...]) -> None:
-        missing = [k for k in keys if k not in _expect(row, dict, what)]
-        if missing:
-            raise UcodeSyntaxError(f"{what} needs {', '.join(missing)}")
-
     instrs = []
     label_pos = {}
-    for i, row in enumerate(_expect(doc["code"], list, "code")):
-        fields(row, f"code[{i}]", ("op", "dst", "src"))
+    for i, row in enumerate(expect(doc["code"], list, "code",
+                                   UcodeSyntaxError)):
+        expect(row, Mapping, f"code[{i}]", UcodeSyntaxError,
+               needs=("op", "dst", "src"))
         try:
             op = Op[str(row["op"]).upper()]
         except KeyError:
@@ -272,11 +252,13 @@ def parse_program(text: str) -> MicrocodeProgram:
         instrs.append(MicroInstruction(op, dst, reg(row["src"]), label))
 
     loops = []
-    for li, row in enumerate(_expect(doc.get("loops"), list, "loops",
-                                     optional=True)):
-        fields(row, f"loops[{li}]", ("range",))
-        body = _expect(row.get("instructions"), list,
-                       f"loops[{li}] instructions", optional=True)
+    for li, row in enumerate(expect(doc.get("loops"), list, "loops",
+                                    UcodeSyntaxError, optional=True)):
+        expect(row, Mapping, f"loops[{li}]", UcodeSyntaxError,
+               needs=("range",))
+        body = expect(row.get("instructions"), list,
+                      f"loops[{li}] instructions", UcodeSyntaxError,
+                      optional=True)
         if not body:
             raise UcodeSyntaxError(f"loops[{li}] has an empty body")
         pos = [label_pos.get(str(n)) for n in body]
@@ -292,24 +274,19 @@ def parse_program(text: str) -> MicrocodeProgram:
 
 
 def program_to_yaml(prog: MicrocodeProgram) -> str:
-    import yaml   # imported where YAML is read or written, not at load
+    import yaml   # imported where YAML is written, not at load
 
-    code = []
-    for i, ins in enumerate(prog.instructions):
-        code.append({
-            "name": ins.name or f"i{i}",
-            "op": ins.op.name.lower(),
-            "dst": REG_INDEX_TO_NAME[ins.dst],
-            "src": REG_INDEX_TO_NAME[ins.src],
-        })
-    loops = []
-    for lp in prog.loops:
-        loops.append({
-            "range": REG_INDEX_TO_NAME[lp.range_reg],
-            "instructions": [code[k]["name"]
-                             for k in range(lp.base, lp.base + lp.count)],
-        })
-    return yaml.safe_dump({"code": code, "loops": loops}, sort_keys=False)
+    names = [ins.name or f"i{i}" for i, ins in enumerate(prog.instructions)]
+    code = [{"name": name, "op": ins.op.name.lower(),
+             "dst": REG_INDEX_TO_NAME[ins.dst],
+             "src": REG_INDEX_TO_NAME[ins.src]}
+            for name, ins in zip(names, prog.instructions)]
+    loops = [{"range": REG_INDEX_TO_NAME[lp.range_reg],
+              "instructions": names[lp.base:lp.base + lp.count]}
+             for lp in prog.loops]
+    # libyaml writes the same text, faster
+    return yaml.dump({"code": code, "loops": loops}, sort_keys=False,
+                     Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +327,7 @@ class JobGeometry:
 
 def ucode_registers(g: JobGeometry) -> np.ndarray:
     """The 16 read-only register values for one job (uint32)."""
+    import numpy as np
     vals = {
         "tp_square": g.tp * g.tp,
         "tp": g.tp,
@@ -448,6 +426,7 @@ class UcodeState:
     """
 
     def __init__(self, prog: MicrocodeProgram, ro_values: np.ndarray):
+        import numpy as np
         ro = np.asarray(ro_values, dtype=np.uint32)
         if ro.shape != (N_RO,):
             raise UcodeSyntaxError(f"need {N_RO} read-only values, "
@@ -519,6 +498,7 @@ def _window_map(prog: MicrocodeProgram, lp: LoopSpec,
     """The affine map one firing of a loop applies to the pointer
     registers, as a 5x5 matrix on [W, x, y, x_major, 1] (mod 2^64,
     hence exact mod 2^32)."""
+    import numpy as np
     m = np.eye(N_RW + 1, dtype=np.uint64)
     for ins in prog.instructions[lp.base:lp.base + lp.count]:
         if ins.src < N_RW:
@@ -532,6 +512,7 @@ def _window_map(prog: MicrocodeProgram, lp: LoopSpec,
 
 def _powers(q: np.ndarray, n: int) -> np.ndarray:
     """q^0 .. q^(n-1), stacked, by doubling."""
+    import numpy as np
     out = np.empty((n,) + q.shape, dtype=np.uint64)
     out[0] = np.eye(len(q), dtype=np.uint64)
     have, step = 1, q
@@ -556,6 +537,7 @@ def walk_offsets(prog: MicrocodeProgram, ro_values: np.ndarray) -> np.ndarray:
     fires and contributes only the identity (Q_k^0 = I, P_{k+1} = P_k),
     so it is skipped.
     """
+    import numpy as np
     ro = np.asarray(ro_values, dtype=np.uint32)
     if ro.shape != (N_RO,):
         raise UcodeSyntaxError(f"need {N_RO} read-only values, "

@@ -6,14 +6,17 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from xnesim import cli, runner
 from xnesim.bintensor import BinaryTensor
-from xnesim.analytic import _MODE_KEYS, _SCALAR_KEYS, DEFAULT_COEFFICIENTS
+from xnesim.analytic import (_MODE_KEYS, _SCALAR_KEYS, DEFAULT_COEFFICIENTS,
+                             load_coefficients)
 from xnesim.cli import build_parser, main
-from xnesim.microcode import (REG_NAMES, RO_NAMES, RW_NAMES,
-                              reference_program)
+from xnesim.errors import UcodeSyntaxError
+from xnesim.microcode import (REG_NAMES, RO_NAMES, RW_NAMES, parse_program,
+                              program_to_yaml, reference_program)
 
 REF_HEX = reference_program().assemble().hex()
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -68,7 +71,8 @@ def test_ucode_dis_bad_stream(tmp_path, capsys):
     blob = tmp_path / "bad.bin"
     blob.write_bytes(b"\x00" * 5)
     assert main(["ucode", "dis", str(blob)]) == 3
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {blob}: bitstream is 5 bytes, expected 28\n"
 
 
 def test_run_layer_ok(capsys):
@@ -217,12 +221,64 @@ def test_verify_error_names_the_layer(capsys):
     assert err.count("\n") == 1
 
 
+_READERS = {"ucode": [["ucode", "asm"]],
+            "config": [["report", "mvgg-2", "--config"],
+                       ["run", "net", "mvgg-2", "--config"]]}
+_DEEP = b"[" * 3000 + b"]" * 3000
+# (the commands that read the file, its bytes or None for no file, the
+# start of the message after the path); bytes that are not UTF-8 once
+# ended in a UnicodeDecodeError traceback, malformed YAML in a six-line
+# error from ucode asm, and deep nesting in a RecursionError traceback
+INPUT_FILE_ERRORS = {
+    "ucode-utf16-bom": ("ucode", b"\xff\xfe\x00code: []\n",
+                        "program source must be a mapping, got str"),
+    "config-utf16-bom": ("config", b"\xff\xfe\x00code: []\n",
+                         "the document must be a mapping, got str"),
+    "ucode-not-utf8": ("ucode", b"\xc3\x28",
+                       "not valid YAML: unacceptable character #x"),
+    "config-not-utf8": ("config", b"\xc3\x28",
+                        "not valid YAML: unacceptable character #x"),
+    "ucode-malformed": ("ucode", b"code: [1",
+                        "not valid YAML: while parsing a flow sequence "),
+    "config-malformed": ("config", b"a: [1",
+                         "not valid YAML: while parsing a flow sequence "),
+    "ucode-deep": ("ucode", b"code: [{op: " + _DEEP + b", dst: W, src: tp}]",
+                   "nested too deeply"),
+    "config-deep": ("config", b"leakage_mw: " + _DEEP, "nested too deeply"),
+    "ucode-missing": ("ucode", None, "No such file or directory"),
+    "config-missing": ("config", None, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("reader, data, problem", INPUT_FILE_ERRORS.values(),
+                         ids=INPUT_FILE_ERRORS)
+def test_input_file_error_is_one_line_naming_the_file(reader, data, problem,
+                                                      tmp_path, capsys):
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_bytes(data)
+    for argv in _READERS[reader]:
+        assert main(argv + [str(path)]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: {problem}"), err
+        assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("d, problem", [
+    ("16", "band width 16 outside [1, 8]"),
+    ("3", "band width 3 must divide nif=8"),
+], ids=["wider-than-nif", "not-dividing-nif"])
+def test_run_layer_rejects_band_width(d, problem, capsys):
+    assert main(["run", "layer", "--nif", "8", "--nof", "8", "--d", d]) == 3
+    assert capsys.readouterr().err == f"error: {problem}\n"
+
+
 def test_ucode_asm_bad_field(tmp_path, capsys):
     src = tmp_path / "p.yaml"
     src.write_text("code: [{op: add, dst: W}]\n")
     assert main(["ucode", "asm", str(src)]) == 3
     err = capsys.readouterr().err
-    assert err == "error: code[0] needs src\n"
+    assert err == f"error: {src}: code[0] needs src\n"
 
 
 def test_verify_failure_prints_replay(monkeypatch, capsys):
@@ -446,26 +502,52 @@ def _ucode_yaml(draw) -> tuple[bytes, bool]:
                             or _wrong_kind(doc["mnemonics"], "{}", True))
 
 
+_NOT_UTF8 = st.sampled_from([b"\xc3\x28", b"\xff", b"\x80", b"\xe2\x82",
+                             b"\xed\xa0\x80"])
+
+
+@st.composite
+def _raw(draw, documents) -> tuple[bytes, bool]:
+    """A document of *documents* cut short, with a bracket or quote
+    opened, or with bytes that are not UTF-8 spliced in; and whether
+    it must be refused, which only the last must."""
+    data, _ = draw(documents)
+    how = draw(st.sampled_from(["cut", "open", "not-utf8"]))
+    at = draw(st.integers(0, len(data)))
+    if how == "cut":
+        return data[:at], False
+    if how == "open":
+        opened = draw(st.sampled_from([b"[", b"{", b"'"]))
+        return data[:at] + opened + data[at:], False
+    return data[:at] + draw(_NOT_UTF8) + data[at:], True
+
+
 _KIND = st.sampled_from(["coefficients", "microcode"] * 2
-                        + ["bitstream", "geometry"])
+                        + ["bitstream", "geometry", "coefficient bytes",
+                           "microcode bytes"])
 _DIS_PATCHES = st.lists(st.tuples(st.integers(0, 27), st.integers(0, 255)))
 
 
 @st.composite
 def _cli_runs(draw):
     """(argv, the bytes of the file argv names as FILE or None, whether
-    the input holds a value of the wrong kind)."""
+    that file must be refused: its bytes are not UTF-8, or a value of
+    the wrong kind stands where a mapping or a list belongs)."""
     kind = draw(_KIND)
-    if kind == "coefficients":
+    if kind.startswith("coefficient"):
         net = draw(st.sampled_from(["mvgg-2", "resnet34", "mvgg-f"]))
         mode = draw(st.sampled_from(_MODES))
         argv = draw(st.sampled_from([
             ["report", net], ["report", net, "--modes", mode],
             ["run", "net", net, "--mode", mode]]))
+        documents = _coefficient_yaml()
         return (argv + ["--tp", draw(_TP), "--config", "FILE"],
-                *draw(_coefficient_yaml()))
-    if kind == "microcode":
-        return ["ucode", "asm", "FILE"], *draw(_ucode_yaml())
+                *draw(_raw(documents) if kind.endswith("bytes")
+                      else documents))
+    if kind.startswith("microcode"):
+        documents = _ucode_yaml()
+        return ["ucode", "asm", "FILE"], *draw(
+            _raw(documents) if kind.endswith("bytes") else documents)
     if kind == "bitstream":
         blob = bytearray(bytes.fromhex(REF_HEX))
         for at, value in draw(_DIS_PATCHES):
@@ -499,21 +581,24 @@ def _main(argv) -> tuple[int, str, str]:
 
 
 @given(_cli_runs())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=130, deadline=None)
 def test_cli_meets_the_error_contract(tmp_path_factory, run):
-    # every run exits 0, 2, 3, 4 or 5, and 3 where a value of the wrong
-    # kind stands for a mapping or a list; a failed run prints exactly
-    # one error: line, and a failed report nothing on stdout. Bytes
-    # that ucode asm gives disassemble, and bytes that ucode dis lists
-    # assemble from the listing to the same bytes
-    argv, data, wrong_kind = run
+    # every run exits 0, 2, 3, 4 or 5, and 3 with an error that names
+    # the file where the file must be refused; a failed run prints
+    # exactly one error: line, a failed ucode command one that names its
+    # file, and a failed report nothing on stdout. Bytes that ucode asm
+    # gives disassemble, and bytes that ucode dis lists assemble from
+    # the listing to the same bytes
+    argv, data, refused = run
     path = tmp_path_factory.getbasetemp() / "cli-fuzz-input"
     if data is not None:
         path.write_bytes(data)
     argv = [str(path) if a == "FILE" else a for a in argv]
     rc, out, err = _main(argv)
     assert rc in (0, 2, 3, 4, 5), (argv, rc, err)
-    assert rc == 3 or not wrong_kind, (argv, rc, data)
+    assert rc == 3 or not refused, (argv, rc, data)
+    if refused or (rc == 3 and argv[0] == "ucode"):
+        assert err.startswith(f"error: {path}: "), (argv, err)
     if rc == 0:
         assert err == "", (argv, err)
     elif rc == 2:       # argparse: usage, then one "prog: error:" line
@@ -530,3 +615,63 @@ def test_cli_meets_the_error_contract(tmp_path_factory, run):
         path.write_text(out)
         assert _main(["ucode", "asm", str(path)]) == (0, data.hex() + "\n",
                                                       "")
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@given(_coefficient_yaml() | _ucode_yaml())
+@settings(max_examples=100, deadline=None)
+def test_libyaml_loads_each_drawn_document_as_the_pure_loader(drawn):
+    # repr tells nan, -0.0 and 1 from 1.0 apart, where == does not
+    data, _ = drawn
+    assert (repr(yaml.load(data, Loader=yaml.CSafeLoader))
+            == repr(yaml.load(data, Loader=yaml.SafeLoader)))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@given(_ucode_yaml())
+@settings(max_examples=50, deadline=None)
+def test_libyaml_lists_each_drawn_program_as_the_pure_dumper(drawn):
+    try:
+        prog = parse_program(drawn[0])
+    except UcodeSyntaxError:
+        return
+    listing = program_to_yaml(prog)
+    with mock.patch.object(yaml, "CSafeDumper", yaml.SafeDumper):
+        assert program_to_yaml(prog) == listing
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_the_pure_loader_reads_the_same_values(tmp_path, monkeypatch):
+    # parse_yaml reads with libyaml when PyYAML has it, else with
+    # PyYAML's own loader, to the same values and the same errors, and
+    # program_to_yaml writes the same text with either dumper
+    config = tmp_path / "c.yaml"
+    config.write_text("leakage_mw: 1\nmodes: {new-0v7: {engine_fj_per_op:"
+                      " 1, local_fj_per_op: 2, freq_mhz: 3,"
+                      " weights_region: scm}}\n")
+
+    def read():
+        listing = program_to_yaml(reference_program())
+        try:
+            parse_program(b"code: [1")
+        except UcodeSyntaxError as ex:
+            malformed = str(ex).split(" in ")[0]
+        return (listing, parse_program(listing.encode()),
+                load_coefficients(str(config)), malformed)
+
+    loaders = []
+
+    class Spy(yaml.CSafeLoader):
+        def __init__(self, stream):
+            loaders.append(type(self))
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+    with_libyaml = read()
+    assert loaders == [Spy] * 3
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    monkeypatch.delattr(yaml, "CSafeDumper")
+    assert read() == with_libyaml
+    assert with_libyaml[1] == reference_program()
+    assert with_libyaml[2].mode("new-0v7").freq_mhz == 3.0
+    assert with_libyaml[3] == "not valid YAML: while parsing a flow sequence"

@@ -165,3 +165,18 @@ def test_analytic_commands_import_no_numpy():
         "assert main(['run', 'net', 'resnet34', '--mode', 'hyperram']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'\n")
     assert out.count("network ") == 8 and "8.72 inference/s" in out
+
+
+def test_ucode_commands_import_no_numpy(tmp_path):
+    # the microcode codec needs no numpy; only the walk imports it
+    listing, blob = tmp_path / "walk.yaml", tmp_path / "walk.bin"
+    out = _fresh(
+        "import sys\n"
+        "from xnesim.cli import main\n"
+        f"assert main(['ucode', 'ref', '-o', {str(listing)!r}]) == 0\n"
+        f"assert main(['ucode', 'asm', {str(listing)!r}, '-o', {str(blob)!r},"
+        " '--hex']) == 0\n"
+        f"assert main(['ucode', 'dis', {str(blob)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    assert len(blob.read_bytes()) == 28
+    assert out.startswith(f"{blob.read_bytes().hex()}\ncode:\n"), out

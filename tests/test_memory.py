@@ -270,7 +270,7 @@ def test_load_coefficients_partial_override(tmp_path):
     ("leakage_mw:\n", "leakage_mw must be a number, got None"),
     ("marshal_pj_per_bit: abc\n", "marshal_pj_per_bit must be a number"),
     ("modes:\n  new-0v7: {engine_fj_per_op: 10.0, local_fj_per_op: 20.0}\n",
-     "'new-0v7' is new and must give freq_mhz, weights_region"),
+     "mode 'new-0v7' needs freq_mhz, weights_region"),
     ("modes:\n  scm-0v4: {weights_region: dram}\n",
      "weights_region 'dram' is not one of"),
     ("modes:\n  scm-0v4: {freq_mhz: -5}\n", "freq_mhz must be positive"),
@@ -314,12 +314,26 @@ def test_load_coefficients_reads_empty_as_the_defaults(tmp_path, text):
     ("hyperram_bits_per_s: 0\n", "hyperram_bits_per_s must be positive"),
     ("marshal_bits_per_cycle: 1e300\n", "marshal_bits_per_cycle 1e+300 "
                                          "overflows"),
-], ids=["zero-rate", "marshal-bits-per-s-overflows"])
+    # a mode field's error once lacked the colon, or the path itself
+    ("modes: {sram-0v6: {freq_mhz: abc}}\n",
+     "mode 'sram-0v6' freq_mhz must be a number, got 'abc'"),
+    ("modes: {sram-0v6: {freq_mhz: 1e400}}\n",
+     "mode 'sram-0v6' freq_mhz must be finite, got inf"),
+    ("modes: {sram-0v6: {freq_ghz: 1}}\n",
+     "unknown key 'freq_ghz' in mode 'sram-0v6'; expected one of "
+     "engine_fj_per_op, local_fj_per_op, freq_mhz, weights_region"),
+    ("- 1.0\n", "the document must be a mapping, got list"),
+    # the loader's wording follows it; the message is one line
+    ("a: [1\n", "not valid YAML: while parsing a flow sequence "),
+], ids=["zero-rate", "marshal-bits-per-s-overflows", "mode-field-not-a-number",
+        "mode-field-not-finite", "mode-field-unknown", "document-not-a-mapping",
+        "malformed-yaml"])
 def test_load_coefficients_names_the_file(tmp_path, text, problem):
     # the set checks itself; a load prefixes its message with the path
     p = tmp_path / "c.yaml"
     p.write_text(text)
-    with pytest.raises(DecodeError, match=f"^{re.escape(f'{p}: {problem}')}"):
+    with pytest.raises(DecodeError, match=f"^{re.escape(f'{p}: {problem}')}"
+                                          "[^\n]*$"):
         load_coefficients(str(p))
 
 # each escape of a set built in Python, unchecked before: a division by

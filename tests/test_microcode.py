@@ -331,29 +331,48 @@ def test_yaml_parse_errors():
 
 
 @pytest.mark.parametrize("text, problem", [
-    ("code: 5\n", r"code must be a list, got 5"),
-    ("code: [5]\n", r"code\[0\] must be a mapping, got 5"),
-    ("mnemonics: 5\ncode: []\n", r"mnemonics must be a mapping, got 5"),
-    ("code: [{op: add, dst: W}]\n", r"code\[0\] needs src"),
+    ("code: 5\n", r"^code must be a list, got int$"),
+    ("code: [5]\n", r"^code\[0\] must be a mapping, got int$"),
+    ("mnemonics: 5\ncode: []\n", r"^mnemonics must be a mapping, got int$"),
+    ("code: [{op: add, dst: W}]\n", r"^code\[0\] needs src$"),
     ("code: [{name: i0, op: add, dst: W, src: tp}]\n"
      "loops: [{range: nif, instructions: i0}]\n",
-     r"loops\[0\] instructions must be a list, got 'i0'"),
+     r"^loops\[0\] instructions must be a list, got str$"),
     ("mnemonics: {a: true}\ncode: [{op: add, dst: a, src: tp}]\n",
-     r"mnemonics 'a' must be an integer, got True"),
-    ("code: [{op: add, dst: true, src: tp}]\n", r"unknown register True"),
+     r"^mnemonics 'a' must be an integer, got bool$"),
+    ("code: [{op: add, dst: true, src: tp}]\n", r"^unknown register True$"),
     ("code: [{op: add, dst: tp, src: tp}]\n",
-     r"code\[0\]: destination must be a pointer register"),
+     r"^code\[0\]: destination must be a pointer register$"),
     # falsy values of the wrong kind once assembled as empty
-    ("code: []\nloops: 0\n", r"loops must be a list, got 0"),
-    ("code: []\nloops: {}\n", r"loops must be a list, got \{\}"),
-    ("code: []\nmnemonics: 0\n", r"mnemonics must be a mapping, got 0"),
-    ("code: []\nmnemonics: []\n", r"mnemonics must be a mapping, got \[\]"),
+    ("code: []\nloops: 0\n", r"^loops must be a list, got int$"),
+    ("code: []\nloops: {}\n", r"^loops must be a list, got dict$"),
+    ("code: []\nmnemonics: 0\n", r"^mnemonics must be a mapping, got int$"),
+    ("code: []\nmnemonics: []\n",
+     r"^mnemonics must be a mapping, got list$"),
     ("code: []\nmnemonics: false\n",
-     r"mnemonics must be a mapping, got False"),
+     r"^mnemonics must be a mapping, got bool$"),
+    ("code: [{op: add, dst: W, src: 20}]\n",
+     r"^register index 20 out of range$"),
+    ("mnemonics: {big: -1}\ncode: [{op: add, dst: W, src: big}]\n",
+     r"^register index -1 out of range$"),
+    ("code: [{name: a, op: add, dst: W, src: tp},"
+     " {name: a, op: add, dst: x, src: tp}]\n",
+     r"^duplicate instruction name 'a'$"),
+    ("code: [{name: a, op: add, dst: W, src: tp}]\n"
+     "loops: [{range: nif, instructions: []}]\n",
+     r"^loops\[0\] has an empty body$"),
+    ("code: [{name: a, op: add, dst: W, src: tp}]\n"
+     "loops: [{range: nif, instructions: [a, b]}]\n",
+     r"^loops\[0\] names unknown instruction 'b'$"),
+    # the loader's wording follows it; the message is one line
+    ("code: [{op: add\n", r"^not valid YAML: while parsing a flow mapping "
+                          r"[^\n]*$"),
 ], ids=["code-not-list", "row-not-mapping", "mnemonics-not-mapping",
         "missing-src", "loop-body-not-list", "bool-mnemonic", "bool-dst",
         "ro-dst", "loops-zero", "loops-empty-mapping", "mnemonics-zero",
-        "mnemonics-empty-list", "mnemonics-false"])
+        "mnemonics-empty-list", "mnemonics-false", "register-index",
+        "mnemonic-index", "duplicate-name", "empty-body",
+        "unknown-instruction", "malformed-yaml"])
 def test_yaml_malformed_fields(text, problem):
     with pytest.raises(UcodeSyntaxError, match=problem):
         parse_program(text)
